@@ -20,13 +20,11 @@ from gaptrack import (
     ModelConfig,
     SceneSpec,
     TrainSchedule,
-    fit,
+    fit_codebook,
     generate,
     next_step_accuracy,
     train,
-    velocities_from_boxes,
 )
-from gaptrack.training import _jitter_boxes
 
 scene = generate(SceneSpec(
     num_objects=6, num_frames=120, width=960.0, height=540.0,
@@ -40,13 +38,9 @@ print(f"scene         {len(scene.trajectories)} objects, {scene.spec.num_frames}
 schedule = TrainSchedule(
     iterations=1000, batch_size=16, learning_rate=3e-3, jitter_fraction=0.02, seed=3,
 )
-rng = np.random.default_rng(3)
-samples = np.concatenate([
-    velocities_from_boxes(_jitter_boxes(t.boxes, schedule.jitter_fraction, rng), t.frame)
-    for t in tracks
-])
-book = fit(samples, k=32, seed=3)
-print(f"codebook      fit on {len(samples)} jittered velocities, k={book.k}")
+book = fit_codebook(tracks, k=32, seed=3, jitter_fraction=schedule.jitter_fraction)
+velocities = sum(len(t.boxes) - 1 for t in tracks)
+print(f"codebook      fit on {velocities} jittered velocities, k={book.k}")
 
 config = ModelConfig(num_clusters=book.k, hidden_dim=24)
 weights, trace = train(tracks, book, config, schedule)

@@ -18,14 +18,12 @@ from gaptrack import (
     ModelConfig,
     SceneSpec,
     TrainSchedule,
-    fit,
+    fit_codebook,
     generate,
     solve,
     train,
-    velocities_from_boxes,
 )
 from gaptrack.scoring import SOURCE_DETECTED, advance, new_tracklet, score_detection
-from gaptrack.training import _jitter_boxes
 
 scene = generate(SceneSpec(
     num_objects=4, num_frames=80, width=960.0, height=540.0,
@@ -33,11 +31,7 @@ scene = generate(SceneSpec(
     seed=7,
 ))
 tracks = scene.training_tracks(window=20)
-rng = np.random.default_rng(3)
-samples = np.concatenate([
-    velocities_from_boxes(_jitter_boxes(t.boxes, 0.02, rng), t.frame) for t in tracks
-])
-book = fit(samples, k=16, seed=3)
+book = fit_codebook(tracks, k=16, seed=3, jitter_fraction=0.02)
 weights, _ = train(
     tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=24),
     TrainSchedule(iterations=400, batch_size=16, learning_rate=3e-3, seed=3),

@@ -16,11 +16,10 @@ from gaptrack import (
     ModelConfig,
     SceneSpec,
     TrainSchedule,
-    fit,
+    fit_codebook,
     generate,
     iou,
     train,
-    velocities_from_boxes,
 )
 from gaptrack.scoring import (
     SOURCE_DETECTED,
@@ -29,7 +28,6 @@ from gaptrack.scoring import (
     new_tracklet,
     sample_candidates,
 )
-from gaptrack.training import _jitter_boxes
 
 scene = generate(SceneSpec(
     num_objects=6, num_frames=120, width=960.0, height=540.0,
@@ -37,11 +35,7 @@ scene = generate(SceneSpec(
     seed=7,
 ))
 tracks = scene.training_tracks(window=25)
-rng = np.random.default_rng(3)
-samples = np.concatenate([
-    velocities_from_boxes(_jitter_boxes(t.boxes, 0.02, rng), t.frame) for t in tracks
-])
-book = fit(samples, k=32, seed=3)
+book = fit_codebook(tracks, k=32, seed=3, jitter_fraction=0.02)
 weights, _ = train(
     tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=24),
     TrainSchedule(iterations=600, batch_size=16, learning_rate=3e-3, seed=3),

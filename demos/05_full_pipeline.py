@@ -15,20 +15,16 @@ stage something to repair.
 Run:  python3 demos/05_full_pipeline.py
 """
 
-import numpy as np
-
 from gaptrack import (
     apply_overrides,
     drop_detections,
     evaluate,
-    fit,
+    fit_codebook,
     from_dict,
     generate,
     run_sequence,
     train,
-    velocities_from_boxes,
 )
-from gaptrack.training import _jitter_boxes
 
 cfg = from_dict({
     "seed": 3,
@@ -43,19 +39,14 @@ cfg = from_dict({
     },
 })
 
-scene = generate(cfg.scene_spec())
+scene = generate(cfg.scene)
 scene = drop_detections(scene, range(40, 43), object_ids=[2])  # the occlusion
 print(f"scene         {cfg.scene.num_objects} objects, {cfg.scene.num_frames} frames, "
       f"{len(scene.detections)} detections, object 2 hidden on frames 40-42")
 
 tracks = scene.training_tracks(window=cfg.training.window)
-rng = np.random.default_rng(cfg.seed)
-samples = np.concatenate([
-    velocities_from_boxes(_jitter_boxes(t.boxes, cfg.training.jitter_fraction, rng), t.frame)
-    for t in tracks
-])
-book = fit(samples, cfg.codebook.size, cfg.seed)
-weights, trace = train(tracks, book, cfg.model_config(book.k), cfg.train_schedule())
+book = fit_codebook(tracks, cfg.codebook.size, cfg.codebook.seed, cfg.training.jitter_fraction)
+weights, trace = train(tracks, book, cfg.model_config(book.k), cfg.training)
 print(f"model         k={book.k}, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
 gt_rows = scene.ground_truth_rows()
@@ -74,8 +65,7 @@ for label, overrides in (
     ("inpainting on", {}),
 ):
     run_cfg = apply_overrides(cfg, overrides) if overrides else cfg
-    result = run_sequence(scene.detections, scene.meta, weights, book,
-                          run_cfg.tracker_config())
+    result = run_sequence(scene.detections, scene.meta, weights, book, run_cfg.tracker)
     report = evaluate(gt_rows, rows_of(result))
     print(f"{label:14s} {len(result.tracklets)} tracks, "
           f"MOTA {report.mota:.4f}, IDF1 {report.idf1:.4f}, "

@@ -16,15 +16,13 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import config as config_mod
-from .codebook import fit, load_codebook, save_codebook
+from .codebook import load_codebook, save_codebook
 from .errors import ConfigError, GaptrackError
-from .geometry import velocities_from_boxes
 from .metrics import aggregate, evaluate, format_report, write_report
 from .mot_io import (
     discover_sequence,
@@ -36,9 +34,9 @@ from .mot_io import (
 from .geometry import BoundingBox
 from .motion_model import load_weights, save_weights
 from .scoring import SOURCE_DETECTED, advance, new_tracklet, sample_candidates, t_trs_for_frame_rate
-from .synth import SceneSpec, generate
+from .synth import generate
 from .tracker import run_sequence
-from .training import TrainingTrack, _jitter_boxes, next_step_accuracy, train
+from .training import TrainingTrack, fit_codebook, next_step_accuracy, train
 
 
 def _positive_int(text: str) -> int:
@@ -111,12 +109,12 @@ def _sequence_tracks(seq_dirs, window: int | None) -> list[TrainingTrack]:
 def _training_tracks(args, cfg: config_mod.RunConfig) -> list[TrainingTrack]:
     if args.sequences:
         return _sequence_tracks(args.sequences, cfg.training.window)
-    scene = generate(cfg.scene_spec())
+    scene = generate(cfg.scene)
     return scene.training_tracks(window=cfg.training.window)
 
 
 def cmd_synth(args, cfg: config_mod.RunConfig) -> int:
-    spec = cfg.scene_spec()
+    spec = cfg.scene
     scene = generate(spec)
     out_dir = Path(args.out)
     scene.write(out_dir)
@@ -129,20 +127,11 @@ def cmd_synth(args, cfg: config_mod.RunConfig) -> int:
 
 def cmd_fit_codebook(args, cfg: config_mod.RunConfig) -> int:
     tracks = _training_tracks(args, cfg)
-    seed = cfg._seed(cfg.codebook.seed)
-    # Jitter before extracting velocities: clean synthetic tracks otherwise
-    # collapse to a handful of distinct values and starve the codebook.
-    rng = np.random.default_rng(seed)
-    jitter = cfg.training.jitter_fraction
-    chunks = [
-        velocities_from_boxes(_jitter_boxes(t.boxes, jitter, rng) if jitter > 0 else t.boxes, t.frame)
-        for t in tracks
-    ]
-    samples = np.concatenate(chunks, axis=0)
-    book = fit(samples, cfg.codebook.size, seed)
+    book = fit_codebook(tracks, cfg.codebook.size, cfg.codebook.seed, cfg.training.jitter_fraction)
     save_codebook(args.out, book)
     note = "" if book.k == cfg.codebook.size else f" (reduced from {cfg.codebook.size})"
-    print(f"fit codebook on {samples.shape[0]} velocities: k={book.k}{note} -> {args.out}")
+    velocities = sum(len(t.boxes) - 1 for t in tracks)
+    print(f"fit codebook on {velocities} velocities: k={book.k}{note} -> {args.out}")
     return 0
 
 
@@ -150,7 +139,7 @@ def cmd_train(args, cfg: config_mod.RunConfig) -> int:
     book = load_codebook(args.codebook)
     tracks = _training_tracks(args, cfg)
     model_config = cfg.model_config(book.k)
-    schedule = cfg.train_schedule()
+    schedule = cfg.training
     started = time.perf_counter()
     weights, trace = train(tracks, book, model_config, schedule)
     elapsed = time.perf_counter() - started
@@ -163,29 +152,17 @@ def cmd_train(args, cfg: config_mod.RunConfig) -> int:
     return 0
 
 
-def _track_one(seq_dir, weights, book, tracker_config, min_confidence):
-    meta, det_path, gt_path = discover_sequence(seq_dir)
-    detections = read_detections(det_path, min_confidence=min_confidence or None)
-    result = run_sequence(detections, meta, weights, book, tracker_config)
-    return meta, result, gt_path
-
-
 def cmd_track(args, cfg: config_mod.RunConfig) -> int:
     book = load_codebook(args.codebook)
     weights = load_weights(args.model, codebook=book)
-    tracker_config = cfg.tracker_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = lambda d: _track_one(d, weights, book, tracker_config, cfg.tracker.min_detection_confidence)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(runner, args.sequences))
-    else:
-        outcomes = [runner(d) for d in args.sequences]
-
     reports = []
-    for meta, result, gt_path in outcomes:
+    for seq_dir in args.sequences:
+        meta, det_path, gt_path = discover_sequence(seq_dir)
+        # The tracker drops detections under min_detection_confidence itself.
+        result = run_sequence(read_detections(det_path), meta, weights, book, cfg.tracker)
         result_path = out_dir / f"{meta.name}.txt"
         write_results(result_path, result.frame_results)
         line = f"{meta.name}: {len(result.tracklets)} tracks -> {result_path}"
@@ -221,7 +198,7 @@ def cmd_evaluate(args, cfg: config_mod.RunConfig) -> int:
 def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
     book = load_codebook(args.codebook)
     weights = load_weights(args.model, codebook=book)
-    scene = generate(cfg.scene_spec())
+    scene = generate(cfg.scene)
     if args.object not in scene.trajectories:
         raise GaptrackError(f"scene has no object {args.object}")
     boxes = scene.trajectories[args.object]
@@ -240,7 +217,7 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
         by_frame.setdefault(det.frame, []).append(det.box)
     lookahead = [by_frame.get(current + off, []) for off in range(t_trs + 1)]
 
-    params = cfg.inpaint_params()
+    params = cfg.tracker.inpaint
     rng = np.random.default_rng(params.seed)
     candidates = sample_candidates(
         tracklet, gap, lookahead, params, weights, book, scene.geometry, rng
@@ -314,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", required=True, metavar="PATH")
     p.add_argument("--sequences", nargs="+", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
     p.add_argument("--samples", type=int, metavar="S", help="gap-bridging branch count; 0 disables")
     p.add_argument("--sampling", choices=("multinomial", "top1"))
     p.add_argument("--gate-factor", type=float, metavar="X")

@@ -2,7 +2,10 @@
 
 The file has optional sections ``codebook``, ``model``, ``training``,
 ``tracker`` (with a nested ``inpaint``), and ``scene``, plus a global
-``seed``. Sections inherit the global seed wherever their own is null.
+``seed``. The ``training``, ``tracker`` and ``scene`` sections are the
+library's own :class:`TrainSchedule`, :class:`TrackerConfig` (with
+:class:`InpaintParams`) and :class:`SceneSpec`, so their defaults live in
+one place. A section whose seed is absent or null takes the enclosing seed.
 Unknown keys anywhere are rejected outright: a typo should fail loudly, not
 silently fall back to a default. The ``GAPTRACK_CONFIG`` environment
 variable supplies a config path when the command line does not.
@@ -13,13 +16,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .motion_model import ModelConfig
-from .scoring import SAMPLING_MULTINOMIAL, InpaintParams
-from .synth import MOTION_CONSTANT_VELOCITY, SceneSpec
+from .scoring import InpaintParams
+from .synth import SceneSpec
 from .tracker import TrackerConfig
 from .training import TrainSchedule
 
@@ -29,209 +33,120 @@ ENV_CONFIG = "GAPTRACK_CONFIG"
 @dataclass(frozen=True)
 class CodebookSection:
     size: int = 256
-    seed: int | None = None
+    seed: int = 0
 
 
 @dataclass(frozen=True)
 class ModelSection:
-    hidden_dim: int = 48
+    # num_clusters is not configurable: it comes from the fitted codebook.
+    hidden_dim: int = ModelConfig.hidden_dim
 
 
-@dataclass(frozen=True)
-class TrainingSection:
-    iterations: int = 5000
-    batch_size: int = 24
-    learning_rate: float = 1e-3
-    clip_norm: float | None = 1.0
-    teacher_forcing_prob: float = 0.2
-    teacher_forcing_onset: float = 0.7
-    jitter_fraction: float = 0.02
-    window: int | None = 25  # training tracks are cut to this many boxes
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class InpaintSection:
-    num_samples: int = 30
-    t_trs: int | None = None
-    iou_threshold: float = 0.5
-    sampling: str = SAMPLING_MULTINOMIAL
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class TrackerSection:
-    """Tracker defaults for the packaged pipeline.
-
-    The gate factor here is deliberately looser than the tracker's own
-    default: a fresh tracklet's predictions start close to uniform, and a
-    sub-uniform gate would starve every birth of its confirmation match.
-
-    The termination patience is deliberately shorter: synthetic detection
-    dropout is independent per frame, so a lost object is usually re-detected
-    (and re-tracked under a new identity) within a frame or two. An old
-    tracklet kept alive for tens of frames eventually steals one detection
-    from its replacement and commits a long bridge of boxes duplicating
-    coverage the replacement already provided. Real occlusions are
-    contiguous, which is what the tracker-level default of 60 is sized for.
-    """
-
-    gate_factor: float = 2.0
-    assignment_gate: float | None = None
-    birth_confirmation: int = 2
-    termination_gap: int = 10
-    min_detection_confidence: float = 0.0
-    emit_inpainted: bool = True
-    inpaint: InpaintSection = field(default_factory=InpaintSection)
-
-
-@dataclass(frozen=True)
-class SceneSection:
-    num_objects: int = 10
-    num_frames: int = 300
-    width: float = 1920.0
-    height: float = 1080.0
-    frame_rate: float = 30.0
-    motion: str = MOTION_CONSTANT_VELOCITY
-    detection_dropout: float = 0.1
-    detection_jitter: float = 0.5
-    false_positive_rate: float = 0.1
-    seed: int | None = None
-    name: str = "synthetic"
-
-
-_NESTED = {
+_SECTIONS = {
     "codebook": CodebookSection,
     "model": ModelSection,
-    "training": TrainingSection,
-    "tracker": TrackerSection,
-    "scene": SceneSection,
-    "inpaint": InpaintSection,
+    "training": TrainSchedule,
+    "tracker": TrackerConfig,
+    "scene": SceneSpec,
+    "inpaint": InpaintParams,
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    codebook: CodebookSection = field(default_factory=CodebookSection)
-    model: ModelSection = field(default_factory=ModelSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
-    tracker: TrackerSection = field(default_factory=TrackerSection)
-    scene: SceneSection = field(default_factory=SceneSection)
+    codebook: CodebookSection | None = None  # None: built with the global seed
+    model: ModelSection | None = None
+    training: TrainSchedule | None = None
+    tracker: TrackerConfig | None = None
+    scene: SceneSpec | None = None
 
-    def _seed(self, value: int | None) -> int:
-        return self.seed if value is None else value
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in _SECTIONS and getattr(self, f.name) is None:
+                section = _build(_SECTIONS[f.name], {}, f"{f.name}.", self.seed)
+                object.__setattr__(self, f.name, section)
 
+    # The benchmark calls these accessors; everything else reads the sections.
     def model_config(self, num_clusters: int) -> ModelConfig:
         return ModelConfig(num_clusters=num_clusters, hidden_dim=self.model.hidden_dim)
 
     def train_schedule(self) -> TrainSchedule:
-        t = self.training
-        return TrainSchedule(
-            iterations=t.iterations,
-            batch_size=t.batch_size,
-            learning_rate=t.learning_rate,
-            clip_norm=t.clip_norm,
-            teacher_forcing_prob=t.teacher_forcing_prob,
-            teacher_forcing_onset=t.teacher_forcing_onset,
-            jitter_fraction=t.jitter_fraction,
-            seed=self._seed(t.seed),
-        )
-
-    def inpaint_params(self) -> InpaintParams:
-        i = self.tracker.inpaint
-        return InpaintParams(
-            num_samples=i.num_samples,
-            t_trs=i.t_trs,
-            iou_threshold=i.iou_threshold,
-            sampling=i.sampling,
-            seed=self._seed(i.seed),
-        )
+        return self.training
 
     def tracker_config(self) -> TrackerConfig:
-        t = self.tracker
-        return TrackerConfig(
-            gate_factor=t.gate_factor,
-            assignment_gate=t.assignment_gate,
-            birth_confirmation=t.birth_confirmation,
-            termination_gap=t.termination_gap,
-            min_detection_confidence=t.min_detection_confidence,
-            emit_inpainted=t.emit_inpainted,
-            inpaint=self.inpaint_params(),
-        )
+        return self.tracker
 
     def scene_spec(self) -> SceneSpec:
-        s = self.scene
-        return SceneSpec(
-            num_objects=s.num_objects,
-            num_frames=s.num_frames,
-            width=s.width,
-            height=s.height,
-            frame_rate=s.frame_rate,
-            motion=s.motion,
-            detection_dropout=s.detection_dropout,
-            detection_jitter=s.detection_jitter,
-            false_positive_rate=s.false_positive_rate,
-            seed=self._seed(s.seed),
-            name=s.name,
-        )
+        return self.scene
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """JSON-ready data; a seed equal to the one it would inherit is left out.
+
+        Leaving it out keeps the section following the global seed, so a
+        later ``apply_overrides(cfg, {"seed": n})`` still reaches it.
+        """
+        return _drop_inherited_seeds(dataclasses.asdict(self), self.seed)
 
 
-def _check_type(path: str, value, default, optional: bool = False):
-    """Reject values whose JSON type cannot stand in for the field's default.
+def _drop_inherited_seeds(data: dict, seed: int) -> dict:
+    for name in _SECTIONS:
+        section = data.get(name)
+        if isinstance(section, dict):
+            if section.get("seed") == seed:
+                del section["seed"]
+            _drop_inherited_seeds(section, section.get("seed", seed))
+    return data
 
-    ``optional`` marks fields annotated with ``| None``; null is legal for
-    those regardless of what the default happens to be (``clip_norm`` and
-    ``window`` default to numbers but may be disabled with null).
-    """
+
+# JSON value types each annotated field type accepts.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_type(path: str, value, hint) -> None:
+    """Reject values whose JSON type does not fit the field's annotation."""
+    kinds = typing.get_args(hint) or (hint,)
     if value is None:
-        if optional:
+        if type(None) in kinds:
             return
         raise ConfigError(f"config key {path} does not accept null")
-    if default is None:
-        allowed: tuple = (int, float)
-    elif isinstance(default, bool):
-        allowed = (bool,)
-    elif isinstance(default, int):
-        allowed = (int,)
-    elif isinstance(default, float):
-        allowed = (int, float)
-    elif isinstance(default, str):
-        allowed = (str,)
-    else:
-        return
-    if isinstance(value, bool) and bool not in allowed:
-        raise ConfigError(f"config key {path} expects {allowed[0].__name__}, got bool")
-    if not isinstance(value, allowed):
-        raise ConfigError(
-            f"config key {path} expects {allowed[0].__name__}, got {type(value).__name__}"
-        )
+    kind = next(k for k in kinds if k is not type(None))
+    allowed = _JSON_TYPES[kind]
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise ConfigError(f"config key {path} expects {kind.__name__}, got {type(value).__name__}")
 
 
-def _build(cls, data, prefix: str):
+def _build(cls, data, prefix: str, inherited_seed: int | None = None):
+    """Build ``cls`` from JSON data, checking every key and value type.
+
+    A section with a ``seed`` field that is absent or null takes
+    ``inherited_seed``; nested sections inherit the section's own seed (or,
+    if it has none, ``inherited_seed``), whether given in ``data`` or not.
+    """
+    section_name = prefix.rstrip(".") or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {prefix or 'top level'} must be a JSON object")
+        raise ConfigError(f"config section {section_name} must be a JSON object")
     remaining = dict(data)
+    hints = typing.get_type_hints(cls)
+    if inherited_seed is not None and "seed" in hints and remaining.get("seed") is None:
+        remaining["seed"] = inherited_seed
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in remaining:
-            continue
-        value = remaining.pop(f.name)
-        nested = _NESTED.get(f.name)
-        if nested is not None:
-            kwargs[f.name] = _build(nested, value, f"{prefix}{f.name}.")
-        else:
-            default = f.default if f.default is not dataclasses.MISSING else None
-            optional = "None" in str(f.type)
-            _check_type(f"{prefix}{f.name}", value, default, optional)
-            kwargs[f.name] = value
+    # Plain fields first, so the seed is checked before nested sections inherit it.
+    for f in sorted(fields(cls), key=lambda f: f.name in _SECTIONS):
+        if f.name in _SECTIONS:
+            seed = kwargs.get("seed", getattr(cls, "seed", inherited_seed))
+            section = remaining.pop(f.name, {})
+            kwargs[f.name] = _build(_SECTIONS[f.name], section, f"{prefix}{f.name}.", seed)
+        elif f.name in remaining:
+            kwargs[f.name] = remaining.pop(f.name)
+            _check_type(f"{prefix}{f.name}", kwargs[f.name], hints[f.name])
     if remaining:
         unknown = ", ".join(f"{prefix}{key}" for key in sorted(remaining))
         raise ConfigError(f"unknown config key: {unknown}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the section's own range checks
+        raise ConfigError(f"config section {section_name}: {exc}") from None
 
 
 def from_dict(data: dict) -> RunConfig:
@@ -266,7 +181,8 @@ def load_config(path=None) -> RunConfig:
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Rebuild a config with dotted-path overrides, e.g. {"training.iterations": 100}.
 
-    Override paths go through the same strict validation as file input.
+    Override paths go through the same strict validation as file input, which
+    also rejects an unknown last key.
     """
     data = config.to_dict()
     for dotted, value in overrides.items():
@@ -276,7 +192,5 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
             if part not in node or not isinstance(node[part], dict):
                 raise ConfigError(f"unknown config key: {dotted}")
             node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
         node[parts[-1]] = value
     return from_dict(data)

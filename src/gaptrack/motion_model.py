@@ -36,7 +36,7 @@ class ModelConfig:
     """Architecture sizes: velocity dimensionality, LSTM width, codebook arity."""
 
     num_clusters: int
-    hidden_dim: int = 512
+    hidden_dim: int = 48
     input_dim: int = 4
 
     def __post_init__(self):

@@ -9,14 +9,14 @@ One seed fixes everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import BoundingBox, FrameGeometry
 from .mot_io import Detection, SequenceMeta, write_detections, write_ground_truth, write_seqinfo
-from .training import TrainingTrack
+from .training import TrainingTrack, TrainSchedule
 
 MOTION_CONSTANT_VELOCITY = "constant-velocity"
 MOTION_SINUSOIDAL = "sinusoidal"
@@ -165,7 +165,9 @@ class Scene:
                 rows.append((frame, obj_id, BoundingBox(x, y, w, h)))
         return rows
 
-    def training_tracks(self, window: int | None = 25, stride: int | None = None) -> list[TrainingTrack]:
+    def training_tracks(
+        self, window: int | None = TrainSchedule.window, stride: int | None = None
+    ) -> list[TrainingTrack]:
         """Cut trajectories into fixed-length windows for the training loop.
 
         ``window=None`` keeps whole trajectories. The stride defaults to the
@@ -264,8 +266,3 @@ def drop_detections(scene: Scene, frames: range | list[int], object_ids=None) ->
         trajectories=scene.trajectories,
         detections=kept,
     )
-
-
-def scene_variant(spec: SceneSpec, **changes) -> SceneSpec:
-    """Spec copy with fields replaced; thin wrapper kept for discoverability."""
-    return replace(spec, **changes)

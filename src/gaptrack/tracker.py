@@ -52,14 +52,24 @@ class TrackerConfig:
     The gate is the maximum negative log-likelihood an assignment may cost;
     ``assignment_gate`` pins it directly, otherwise it is
     ``gate_factor * 4 * ln(k)`` for a k-way codebook. A factor below 1 sits
-    under the uniform-distribution cost, so fresh tracklets whose predictions
-    are still near-uniform cannot re-match; factors around 2 keep them alive.
+    under the uniform-distribution cost, and a fresh tracklet's predictions
+    start close to uniform, so a sub-uniform gate would starve every birth
+    of its confirmation match; factors around 2 keep fresh tracklets alive.
+
+    The termination patience is short: synthetic detection dropout is
+    independent per frame, so a lost object is usually re-detected (and
+    re-tracked under a new identity) within a frame or two. An old tracklet
+    kept alive for tens of frames eventually steals one detection from its
+    replacement and commits a long bridge of boxes duplicating coverage the
+    replacement already provided. Real occlusions are contiguous; sequences
+    with long ones call for a longer patience (60 frames is two seconds at
+    30 fps).
     """
 
-    gate_factor: float = 0.9
+    gate_factor: float = 2.0
     assignment_gate: float | None = None
     birth_confirmation: int = 2
-    termination_gap: int = 60
+    termination_gap: int = 10
     min_detection_confidence: float = 0.0
     emit_inpainted: bool = True
     inpaint: InpaintParams = field(default_factory=InpaintParams)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, quantize_array
+from .codebook import Codebook, fit, quantize_array
 from .errors import EmptyInputError, TrainingDivergedError
 from .geometry import FrameGeometry, velocities_from_boxes
 from .motion_model import (
@@ -41,15 +41,20 @@ _ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Optimization hyperparameters. Defaults are desk scale."""
+    """Training hyperparameters; the defaults are the packaged run's.
+
+    ``window`` is not used by :func:`train` itself: it is the length the
+    training tracks are cut to before training (``Scene.training_tracks``).
+    """
 
     iterations: int = 5000
-    batch_size: int = 256
+    batch_size: int = 24
     learning_rate: float = 1e-3
     clip_norm: float | None = 1.0
     teacher_forcing_prob: float = 0.2
     teacher_forcing_onset: float = 0.7  # fraction of the sequence after which forcing may fire
     jitter_fraction: float = 0.02       # box jitter amplitude relative to box size
+    window: int | None = 25
     seed: int = 0
 
 
@@ -80,6 +85,27 @@ def _jitter_boxes(boxes: np.ndarray, fraction: float, rng: np.random.Generator) 
     out[:, 2] *= 1.0 + eps[:, 2]
     out[:, 3] *= 1.0 + eps[:, 3]
     return out
+
+
+def fit_codebook(tracks, k: int, seed: int, jitter_fraction: float) -> Codebook:
+    """Fit a ``k``-cell codebook on the velocities training consumes.
+
+    Training jitters boxes before extracting velocities, which spreads them
+    several times wider than clean ones; a codebook fit on clean tracks
+    spans a fraction of that, and most training targets clip onto the edge
+    cells. So each track is jittered in order, by ``jitter_fraction`` from a
+    generator seeded with ``seed``, as :func:`train` does; 0 fits the clean
+    velocities. Deterministic given the tracks and the arguments.
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.concatenate([
+        velocities_from_boxes(
+            _jitter_boxes(t.boxes, jitter_fraction, rng) if jitter_fraction > 0 else t.boxes,
+            t.frame,
+        )
+        for t in tracks
+    ])
+    return fit(samples, k, seed)
 
 
 def _track_to_sequence(boxes: np.ndarray, frame: FrameGeometry, codebook: Codebook):

@@ -6,19 +6,16 @@ behavior of scoring and tracking, not tracking quality. Quality claims live
 in tests/test_acceptance.py with properly sized runs.
 """
 
-import numpy as np
 import pytest
 
 from gaptrack import (
     ModelConfig,
     SceneSpec,
     TrainSchedule,
-    fit,
+    fit_codebook,
     generate,
     train,
-    velocities_from_boxes,
 )
-from gaptrack.training import _jitter_boxes
 
 
 @pytest.fixture(scope="session")
@@ -49,12 +46,7 @@ def tiny_model(clean_scene):
     targets onto the two edge cells.
     """
     tracks = clean_scene.training_tracks(window=20)
-    rng = np.random.default_rng(3)
-    jittered = np.concatenate(
-        [velocities_from_boxes(_jitter_boxes(t.boxes, 0.02, rng), t.frame) for t in tracks],
-        axis=0,
-    )
-    book = fit(jittered, k=16, seed=3)
+    book = fit_codebook(tracks, k=16, seed=3, jitter_fraction=0.02)
 
     schedule = TrainSchedule(
         iterations=400,

@@ -31,6 +31,7 @@ from gaptrack import (
     apply_overrides,
     evaluate,
     fit,
+    fit_codebook,
     generate,
     init_weights,
     log_likelihood,
@@ -45,7 +46,7 @@ from gaptrack.scoring import SOURCE_DETECTED, InpaintParams, advance, inpaint
 from gaptrack.synth import MOTION_SINUSOIDAL
 from gaptrack.geometry import iou
 from gaptrack.tracker import run_sequence
-from gaptrack.training import _jitter_boxes, loss_and_gradients, next_step_accuracy
+from gaptrack.training import loss_and_gradients, next_step_accuracy
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -151,27 +152,16 @@ def _result_rows(result):
 def test_a3_inpainting_improves_mota_and_fn():
     started = time.perf_counter()
     cfg = RunConfig()
-    scene = generate(cfg.scene_spec())
+    scene = generate(cfg.scene)
     tracks = scene.training_tracks(window=cfg.training.window)
 
-    jitter_rng = np.random.default_rng(cfg.seed)
-    samples = np.concatenate([
-        velocities_from_boxes(
-            _jitter_boxes(t.boxes, cfg.training.jitter_fraction, jitter_rng), t.frame
-        )
-        for t in tracks
-    ])
-    book = fit(samples, cfg.codebook.size, cfg.seed)
-    weights, _ = train(tracks, book, cfg.model_config(book.k), cfg.train_schedule())
+    book = fit_codebook(tracks, cfg.codebook.size, cfg.codebook.seed, cfg.training.jitter_fraction)
+    weights, _ = train(tracks, book, cfg.model_config(book.k), cfg.training)
 
     gt_rows = scene.ground_truth_rows()
-    with_inpaint = run_sequence(
-        scene.detections, scene.meta, weights, book, cfg.tracker_config()
-    )
+    with_inpaint = run_sequence(scene.detections, scene.meta, weights, book, cfg.tracker)
     no_inpaint_cfg = apply_overrides(cfg, {"tracker.inpaint.num_samples": 0})
-    without = run_sequence(
-        scene.detections, scene.meta, weights, book, no_inpaint_cfg.tracker_config()
-    )
+    without = run_sequence(scene.detections, scene.meta, weights, book, no_inpaint_cfg.tracker)
     on = evaluate(gt_rows, _result_rows(with_inpaint))
     off = evaluate(gt_rows, _result_rows(without))
     elapsed = time.perf_counter() - started
@@ -197,12 +187,7 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
     )
     train_scene = generate(train_spec)
     tracks = train_scene.training_tracks(window=25)
-    jitter_rng = np.random.default_rng(0)
-    samples = np.concatenate([
-        velocities_from_boxes(_jitter_boxes(t.boxes, 0.02, jitter_rng), t.frame)
-        for t in tracks
-    ])
-    book = fit(samples, 128, seed=0)
+    book = fit_codebook(tracks, 128, seed=0, jitter_fraction=0.02)
     weights, _ = train(
         tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=48),
         TrainSchedule(iterations=2000, batch_size=24, seed=0),

@@ -12,7 +12,11 @@ import pytest
 
 from gaptrack import (
     ConfigError,
+    ModelConfig,
     RunConfig,
+    SceneSpec,
+    TrackerConfig,
+    TrainSchedule,
     apply_overrides,
     from_dict,
     from_file,
@@ -32,12 +36,17 @@ def test_defaults():
     assert cfg.tracker.gate_factor == 2.0
     assert cfg.tracker.termination_gap == 10
     assert cfg.tracker.inpaint.num_samples == 30
+    # the packaged run uses the library defaults
+    assert cfg.tracker_config() == TrackerConfig()
+    assert cfg.train_schedule() == TrainSchedule()
+    assert cfg.scene_spec() == SceneSpec()
+    assert cfg.model_config(17) == ModelConfig(num_clusters=17)
 
 
 def test_sections_inherit_the_global_seed():
     cfg = from_dict({"seed": 42})
     assert cfg.train_schedule().seed == 42
-    assert cfg.inpaint_params().seed == 42
+    assert cfg.tracker.inpaint.seed == 42
     assert cfg.scene_spec().seed == 42
 
     pinned = from_dict({"seed": 42, "training": {"seed": 7}})
@@ -54,13 +63,11 @@ def test_builders_carry_section_fields():
     })
     assert cfg.model_config(17).num_clusters == 17
     assert cfg.model_config(17).hidden_dim == 12
-    assert cfg.train_schedule().iterations == 9
-    tracker = cfg.tracker_config()
-    assert tracker.gate_factor == 1.5
-    assert tracker.inpaint.num_samples == 4
-    assert tracker.inpaint.t_trs == 2
-    spec = cfg.scene_spec()
-    assert (spec.num_objects, spec.name) == (2, "tiny")
+    assert cfg.training.iterations == 9
+    assert cfg.tracker.gate_factor == 1.5
+    assert cfg.tracker.inpaint.num_samples == 4
+    assert cfg.tracker.inpaint.t_trs == 2
+    assert (cfg.scene.num_objects, cfg.scene.name) == (2, "tiny")
 
 
 def test_unknown_keys_fail_loudly():
@@ -83,6 +90,14 @@ def test_value_types_are_checked():
         from_dict({"tracker": {"emit_inpainted": 1}})
     with pytest.raises(ConfigError, match="does not accept null"):
         from_dict({"seed": None})
+    # types come from the field annotations, so null defaults check them too
+    with pytest.raises(ConfigError, match="t_trs"):
+        from_dict({"tracker": {"inpaint": {"t_trs": 2.5}}})
+    with pytest.raises(ConfigError, match="scene.seed"):
+        from_dict({"scene": {"seed": 2.5}})
+    # the sections' own range checks report as config errors
+    with pytest.raises(ConfigError, match="termination_gap"):
+        from_dict({"tracker": {"termination_gap": 0}})
     # ints are fine where floats are expected
     assert from_dict({"training": {"learning_rate": 1}}).training.learning_rate == 1
 

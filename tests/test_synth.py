@@ -1,5 +1,7 @@
 """Synthetic scene generator: noise knobs, bounds, and windowing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from gaptrack import (
     generate,
     read_detections,
     read_seqinfo,
-    scene_variant,
 )
 
 CLEAN = dict(
@@ -65,7 +66,7 @@ def test_generation_is_deterministic_in_the_seed():
     for obj_id in a.trajectories:
         np.testing.assert_array_equal(a.trajectories[obj_id], b.trajectories[obj_id])
 
-    c = generate(scene_variant(spec, seed=22))
+    c = generate(replace(spec, seed=22))
     assert any(
         not np.array_equal(a.trajectories[i], c.trajectories[i])
         for i in a.trajectories
@@ -124,15 +125,6 @@ def test_drop_detections_targets_one_object():
         assert det.frame in (20, 21)
         truth = scene.trajectories[2][det.frame - 1]
         assert det.box.x == pytest.approx(truth[0])
-
-
-def test_scene_variant_replaces_fields():
-    spec = SceneSpec(seed=5, **CLEAN)
-    other = scene_variant(spec, seed=6, name="other")
-    assert other.seed == 6 and other.name == "other"
-    assert other.num_objects == spec.num_objects
-    with pytest.raises(ConfigError):
-        scene_variant(spec, motion="brownian")
 
 
 def test_spec_validation():
