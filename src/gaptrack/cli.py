@@ -36,7 +36,7 @@ from .motion_model import load_weights, save_weights
 from .scoring import SOURCE_DETECTED, advance, new_tracklet, sample_candidates, t_trs_for_frame_rate
 from .synth import generate
 from .tracker import run_sequence
-from .training import TrainingTrack, fit_codebook, next_step_accuracy, train
+from .training import TrainingTrack, fit_codebook, next_step_accuracy, train, window_tracks
 
 
 def _positive_int(text: str) -> int:
@@ -97,12 +97,7 @@ def _sequence_tracks(seq_dirs, window: int | None) -> list[TrainingTrack]:
             rows.sort(key=lambda r: r.frame)
             frames = np.array([r.frame for r in rows])
             boxes = np.stack([r.box.as_array() for r in rows])
-            for run in _split_contiguous(frames, boxes):
-                step = window or len(run)
-                for start in range(0, len(run), step):
-                    chunk = run[start:start + (window or len(run))]
-                    if len(chunk) >= 3:
-                        tracks.append(TrainingTrack(chunk, meta.geometry))
+            tracks += window_tracks(_split_contiguous(frames, boxes), meta.geometry, window)
     return tracks
 
 

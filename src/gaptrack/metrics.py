@@ -129,9 +129,11 @@ def _identity_true_positives(
         return 0
     gt_order = sorted({g for g, _ in overlap})
     pred_order = sorted({p for _, p in overlap})
+    gt_index = {g: a for a, g in enumerate(gt_order)}
+    pred_index = {p: b for b, p in enumerate(pred_order)}
     costs = np.full((len(gt_order), len(pred_order)), FORBIDDEN)
     for (g, p), count in overlap.items():
-        costs[gt_order.index(g), pred_order.index(p)] = -float(count)
+        costs[gt_index[g], pred_index[p]] = -float(count)
     return int(sum(overlap[(gt_order[a], pred_order[b])] for a, b in solve(costs)))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import BoundingBox, FrameGeometry
 from .mot_io import Detection, SequenceMeta, write_detections, write_ground_truth, write_seqinfo
-from .training import TrainingTrack, TrainSchedule
+from .training import TrainingTrack, TrainSchedule, window_tracks
 
 MOTION_CONSTANT_VELOCITY = "constant-velocity"
 MOTION_SINUSOIDAL = "sinusoidal"
@@ -170,22 +170,11 @@ class Scene:
     ) -> list[TrainingTrack]:
         """Cut trajectories into fixed-length windows for the training loop.
 
-        ``window=None`` keeps whole trajectories. The stride defaults to the
-        window length (non-overlapping); trailing windows shorter than 3
-        boxes are dropped since they carry no velocity transition to learn.
+        See :func:`training.window_tracks`; ``window=None`` keeps whole
+        trajectories.
         """
-        tracks = []
-        for obj_id in sorted(self.trajectories):
-            boxes = self.trajectories[obj_id]
-            if window is None:
-                tracks.append(TrainingTrack(boxes, self.geometry))
-                continue
-            step = stride or window
-            for start in range(0, len(boxes), step):
-                chunk = boxes[start:start + window]
-                if len(chunk) >= 3:
-                    tracks.append(TrainingTrack(chunk, self.geometry))
-        return tracks
+        runs = (self.trajectories[obj_id] for obj_id in sorted(self.trajectories))
+        return window_tracks(runs, self.geometry, window, stride)
 
     def write(self, seq_dir) -> None:
         """Lay the scene out as a sequence directory: seqinfo, gt, detections."""

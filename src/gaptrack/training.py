@@ -44,7 +44,7 @@ class TrainSchedule:
     """Training hyperparameters; the defaults are the packaged run's.
 
     ``window`` is not used by :func:`train` itself: it is the length the
-    training tracks are cut to before training (``Scene.training_tracks``).
+    training tracks are cut to before training (:func:`window_tracks`).
     """
 
     iterations: int = 5000
@@ -74,6 +74,25 @@ class TrainingTrack:
         if not np.all(np.isfinite(boxes)):
             raise EmptyInputError("training track contains non-finite boxes")
         object.__setattr__(self, "boxes", boxes)
+
+
+def window_tracks(runs, frame: FrameGeometry, window: int | None,
+                  stride: int | None = None) -> list[TrainingTrack]:
+    """Cut runs of consecutive boxes into training tracks of ``window`` boxes.
+
+    ``window=None`` keeps each run whole. The stride defaults to the window
+    length (non-overlapping); chunks shorter than 3 boxes are dropped since
+    they carry no velocity transition to learn.
+    """
+    tracks = []
+    for boxes in runs:
+        size = window or len(boxes)
+        step = (stride or size) if window else size
+        for start in range(0, len(boxes), step):
+            chunk = boxes[start:start + size]
+            if len(chunk) >= 3:
+                tracks.append(TrainingTrack(chunk, frame))
+    return tracks
 
 
 def _jitter_boxes(boxes: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -112,3 +112,111 @@ def test_input_validation():
         solve(np.array([[1.0, -np.inf], [2.0, 3.0]]))
     with pytest.raises(ValueError):
         solve(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# scipy as an oracle on sizes enumeration cannot reach
+
+def _oracle(costs):
+    """(cardinality, cost) of the best matching, from scipy.
+
+    Forbidden cells get a finite price larger than any matching one pair
+    smaller can save, so scipy's full-size assignment maximizes the number
+    of allowed pairs first.
+    """
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    costs = np.asarray(costs, dtype=np.float64)
+    allowed = np.isfinite(costs)
+    if not allowed.any():
+        return 0, 0.0
+    price = 1.0 + 2.0 * min(costs.shape) * np.abs(costs[allowed]).max()
+    rows, cols = linear_sum_assignment(np.where(allowed, costs, price))
+    kept = allowed[rows, cols]
+    return int(kept.sum()), float(costs[rows[kept], cols[kept]].sum())
+
+
+def _tie_heavy(rng, n, m):
+    costs = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+    costs[rng.random(size=(n, m)) < 0.3] = FORBIDDEN
+    return costs
+
+
+def _summary(costs, pairs):
+    rows = [r for r, _ in pairs]
+    cols = [c for _, c in pairs]
+    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+    assert all(np.isfinite(costs[r, c]) for r, c in pairs)
+    return len(pairs), float(sum(costs[r, c] for r, c in pairs))
+
+
+@pytest.mark.parametrize("shape", [(50, 70), (70, 50), (200, 200)])
+def test_random_float_costs_match_scipy(shape):
+    rng = np.random.default_rng(sum(shape))
+    costs = rng.uniform(-3.0, 10.0, size=shape)
+    costs[rng.random(size=shape) < 0.5] = FORBIDDEN
+    size, total = _summary(costs, solve(costs))
+    want_size, want_total = _oracle(costs)
+    assert size == want_size
+    assert total == pytest.approx(want_total, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (80, 80), (60, 90), (90, 60), (200, 200)])
+def test_tie_heavy_integer_costs_match_scipy(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(3):
+        costs = _tie_heavy(rng, *shape)
+        assert _summary(costs, solve(costs)) == _oracle(costs)
+
+
+def _lexicographic_oracle(costs):
+    """Pin rows in order to their smallest column that keeps scipy's optimum."""
+    best = _oracle(costs)
+    rows, cols = list(range(costs.shape[0])), list(range(costs.shape[1]))
+    pinned, pinned_cost = [], 0.0
+
+    def keeps_optimum(rest_rows, rest_cols, extra_pairs, extra_cost):
+        sub = costs[np.ix_(rest_rows, rest_cols)] if rest_rows and rest_cols else np.zeros((0, 0))
+        size, total = _oracle(sub) if sub.size else (0, 0.0)
+        # rounding undoes float summation-order noise so decimal ties rank as ties
+        return (size + extra_pairs, round(total + extra_cost, 9)) == (best[0], round(best[1], 9))
+
+    for r in range(costs.shape[0]):
+        rows.remove(r)
+        for c in cols:
+            if np.isfinite(costs[r, c]) and keeps_optimum(
+                rows, [k for k in cols if k != c], len(pinned) + 1, pinned_cost + costs[r, c]
+            ):
+                pinned.append((r, c))
+                pinned_cost += costs[r, c]
+                cols.remove(c)
+                break
+    return pinned
+
+
+def test_tie_break_matches_lexicographic_oracle():
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        costs = _tie_heavy(rng, 12, 15)
+        if trial % 2:  # one-decimal costs: ties that are inexact in binary
+            costs = np.where(np.isfinite(costs), np.round(rng.uniform(0.0, 3.0, costs.shape), 1), costs)
+        assert solve(costs) == _lexicographic_oracle(costs)
+        assert solve(costs.T) == _lexicographic_oracle(costs.T)
+
+
+def test_block_diagonal_is_the_union_of_its_blocks():
+    rng = np.random.default_rng(14)
+    shapes = [(5, 7), (1, 4), (6, 3), (4, 4), (3, 1)]
+    n = sum(s[0] for s in shapes)
+    m = sum(s[1] for s in shapes)
+    # interleave the blocks while keeping each block's own row and column order
+    row_owner = rng.permutation(np.repeat(np.arange(len(shapes)), [s[0] for s in shapes]))
+    col_owner = rng.permutation(np.repeat(np.arange(len(shapes)), [s[1] for s in shapes]))
+    costs = np.full((n, m), FORBIDDEN)
+    want = []
+    for b, shape in enumerate(shapes):
+        block = _tie_heavy(rng, *shape)
+        block[0, 0] = 1.0  # keep every block non-empty
+        rows, cols = np.flatnonzero(row_owner == b), np.flatnonzero(col_owner == b)
+        costs[np.ix_(rows, cols)] = block
+        want += [(int(rows[r]), int(cols[c])) for r, c in solve(block)]
+    assert solve(costs) == sorted(want)

@@ -15,7 +15,7 @@ from gaptrack import (
     train,
 )
 from gaptrack.errors import EmptyInputError
-from gaptrack.training import loss_and_gradients
+from gaptrack.training import loss_and_gradients, window_tracks
 
 FRAME = FrameGeometry(640.0, 480.0)
 
@@ -177,3 +177,13 @@ def test_track_validation():
         TrainingTrack(bad, FRAME)
     with pytest.raises(EmptyInputError):
         train([], fit(np.ones((4, 4)), k=1, seed=0), ModelConfig(num_clusters=1), TrainSchedule(iterations=1))
+
+
+def test_window_tracks_cuts_runs_and_drops_short_chunks():
+    long_run = np.arange(28, dtype=np.float64).reshape(7, 4) + 1.0
+    short_run = long_run[:2]
+    lengths = lambda tracks: [len(t.boxes) for t in tracks]  # noqa: E731
+    assert lengths(window_tracks([long_run, short_run], FRAME, window=3)) == [3, 3]
+    assert lengths(window_tracks([long_run, short_run], FRAME, window=None)) == [7]
+    assert lengths(window_tracks([long_run], FRAME, window=4, stride=2)) == [4, 4, 3]
+    assert lengths(window_tracks([long_run], FRAME, window=None, stride=2)) == [7]
