@@ -15,6 +15,7 @@ import numpy as np
 from gaptrack import (
     BoundingBox,
     FORBIDDEN,
+    boxes_to_array,
     ModelConfig,
     SceneSpec,
     TrainSchedule,
@@ -54,11 +55,12 @@ detections = [
 ]
 
 gate = 2.0 * 4.0 * np.log(book.k)  # twice the uniform cost
-costs = np.empty((len(tracklets), len(detections)))
-for i, tracklet in enumerate(tracklets):
-    for j, det in enumerate(detections):
-        score = score_detection(tracklet, det, scene.geometry, book)
-        costs[i, j] = -score if -score <= gate else FORBIDDEN
+scores = score_detection(
+    np.stack([t.last_box.box.as_array() for t in tracklets]),
+    np.stack([t.dist for t in tracklets]),
+    boxes_to_array(detections), scene.geometry, book,
+)
+costs = np.where(-scores <= gate, -scores, FORBIDDEN)
 
 print(f"gate          cost ceiling {gate:.2f} (negative log-likelihood)")
 print("cost matrix   rows = tracklets 1, 2; columns = det A (obj 1), det B (obj 2), clutter")

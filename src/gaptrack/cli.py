@@ -223,14 +223,14 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
             ["branch", "rejected", "reason", "iou_score", "log_likelihood", "x", "y", "w", "h"]
         )
         for cand in candidates:
-            at_current = cand.boxes[gap - 1] if len(cand.boxes) >= gap else None
+            at_current = cand.path[gap - 1] if len(cand.path) >= gap else [float("nan")] * 4
             writer.writerow([
                 cand.branch_index,
                 int(cand.rejected),
                 cand.rejection_reason,
                 f"{cand.iou_score:.4f}",
                 f"{cand.sample_log_likelihood:.4f}",
-                *(f"{v:.2f}" for v in (at_current.as_array() if at_current else [float("nan")] * 4)),
+                *(f"{v:.2f}" for v in at_current),
             ])
     survivors = [c for c in candidates if not c.rejected]
     print(

@@ -266,21 +266,26 @@ def quantize_component(value: float, component, codebook: Codebook) -> int:
     return int(np.searchsorted(mids, value, side="left"))
 
 
-def quantize(delta: VelocityDelta, codebook: Codebook) -> ClusterIndexQuad:
-    """Map a velocity to its quadruple of nearest-centroid indices."""
-    return ClusterIndexQuad(
-        *(quantize_component(v, c, codebook) for c, v in enumerate(delta.as_array()))
-    )
+def quantize(deltas, codebook: Codebook):
+    """Nearest-centroid indices for velocities; exact midpoint ties go to the lower index.
+
+    ``deltas`` is one :class:`VelocityDelta`, which gives a
+    :class:`ClusterIndexQuad`, or an array of any shape whose last axis holds
+    (dx, dy, dw, dh), which gives an int64 array of the same shape.
+    """
+    if isinstance(deltas, VelocityDelta):
+        return ClusterIndexQuad(*(int(i) for i in quantize_array(deltas.as_array(), codebook)))
+    return quantize_array(deltas, codebook)
 
 
 def quantize_array(deltas: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Vectorized :func:`quantize` for an (N, 4) velocity array; returns (N, 4) int64."""
+    """Array form of :func:`quantize`: (..., 4) velocities to (..., 4) int64 indices."""
     deltas = np.asarray(deltas, dtype=np.float64)
     out = np.empty(deltas.shape, dtype=np.int64)
     for c in range(4):
         row = codebook.centroids[c]
         mids = 0.5 * (row[:-1] + row[1:])
-        out[:, c] = np.searchsorted(mids, deltas[:, c], side="left")
+        out[..., c] = np.searchsorted(mids, deltas[..., c], side="left")
     return out
 
 

@@ -2,9 +2,11 @@
 
 A tracklet carries, besides its committed boxes, the recurrent state of the
 motion model after consuming its velocity history and the model's predictive
-distribution for the next step. Scoring a detection is then a pure lookup:
-quantize the velocity from the tracklet's last box to the detection and sum
-the component log-probabilities.
+distribution for the next step. Scoring is then a pure lookup, done for a
+whole assignment pass at once: ``score_detection`` takes every bidder's
+origin box and distribution plus every detection, builds one velocity tensor,
+quantizes it in one call and sums the gathered component log-probabilities
+into an (N, M) matrix.
 
 When a tracklet has unobserved frames, ``inpaint`` bridges the gap by
 sampling many candidate continuations, rejecting those whose box at the
@@ -22,25 +24,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import Codebook, quantize
-from .errors import SequencingError
-from .geometry import (
-    BoundingBox,
-    FrameGeometry,
-    VelocityDelta,
-    iou_matrix,
-    velocity,
-)
+from .errors import NumericOverflowError, SequencingError
+from .geometry import BoundingBox, FrameGeometry, VelocityDelta, iou_matrix, velocity
 from .motion_model import (
     PROB_FLOOR,
     ModelWeights,
     RecurrentState,
     cell_forward,
     init_state,
-    log_likelihood,
     sample_batch,
     step,
 )
-from .errors import NumericOverflowError
 
 SOURCE_DETECTED = "detected"
 SOURCE_INPAINTED = "inpainted"
@@ -126,10 +120,28 @@ def new_tracklet(tracklet_id: int, frame_index: int, box: BoundingBox, weights: 
     )
 
 
-def score_detection(tracklet: Tracklet, detection: BoundingBox, frame: FrameGeometry, codebook: Codebook) -> float:
-    """Log-likelihood of the detection continuing the tracklet; pure, no mutation."""
-    delta = velocity(tracklet.last_box.box, detection, frame)
-    return log_likelihood(tracklet.dist, quantize(delta, codebook))
+def score_detection(
+    origins: np.ndarray,
+    dists: np.ndarray,
+    detections: np.ndarray,
+    frame: FrameGeometry,
+    codebook: Codebook,
+) -> np.ndarray:
+    """Log-likelihood of every detection continuing every bidder; pure, no mutation.
+
+    ``origins`` is (N, 4): the box each bidder continues from. ``dists`` is
+    (N, 4, K): each bidder's predictive distribution. ``detections`` is
+    (M, 4). Returns (N, M). Each entry equals the per-pair
+    :func:`~gaptrack.motion_model.log_likelihood` of the quantized velocity
+    bit for bit: the same floored logs, added in component order.
+    """
+    scale = np.array([frame.width, frame.height, frame.width, frame.height])
+    deltas = (detections[None, :, :] - origins[:, None, :]) / scale
+    cells = quantize(deltas, codebook)  # (N, M, 4)
+    rows = np.arange(origins.shape[0])[:, None, None]
+    probs = dists[rows, np.arange(4), cells]
+    logs = np.log(np.maximum(probs, PROB_FLOOR))
+    return logs[..., 0] + logs[..., 1] + logs[..., 2] + logs[..., 3]
 
 
 def advance(
@@ -156,33 +168,39 @@ def advance(
 class InpaintCandidate:
     """One sampled continuation of a gapped tracklet.
 
-    ``boxes`` holds ``gap`` boxes bridging up to the current frame followed by
-    the sampled lookahead; ``state_at_scoring``/``dist_at_scoring`` are the
-    model state after the boxes strictly before the current frame, which is
-    where an assigned detection gets scored and committed.
+    ``path`` holds, one (x, y, w, h) row per frame, ``gap`` boxes bridging up
+    to the current frame followed by the sampled lookahead (fewer rows if the
+    branch degenerated). ``state_at_scoring``/``dist_at_scoring`` are the
+    model state after the boxes strictly before the current frame, and
+    ``origin`` is the box there: that is where an assigned detection gets
+    scored and committed.
     """
 
     branch_index: int
     gap: int
-    boxes: list[BoundingBox]
+    path: np.ndarray
     state_at_scoring: RecurrentState
     dist_at_scoring: np.ndarray
-    box_at_scoring: BoundingBox
+    origin: np.ndarray
     sample_log_likelihood: float = 0.0
     iou_score: float = 0.0
     rejected: bool = False
     rejection_reason: str = ""
 
+    @property
+    def boxes(self) -> list[BoundingBox]:
+        """The path rows as boxes."""
+        return [BoundingBox(*map(float, row)) for row in self.path]
 
-def _best_iou(box: BoundingBox, det_boxes: np.ndarray) -> float:
-    if det_boxes.shape[0] == 0:
-        return 0.0
-    return float(np.max(iou_matrix(box.as_array()[None, :], det_boxes)))
+    @property
+    def box_at_scoring(self) -> BoundingBox:
+        """The origin row as a box."""
+        return BoundingBox(*map(float, self.origin))
 
 
 def _as_box_array(boxes) -> np.ndarray:
     if isinstance(boxes, np.ndarray):
-        return boxes.reshape(-1, 4).astype(np.float64)
+        return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     if len(boxes) == 0:
         return np.zeros((0, 4))
     return np.stack([b.as_array() if isinstance(b, BoundingBox) else np.asarray(b, dtype=np.float64) for b in boxes])
@@ -200,12 +218,13 @@ def sample_candidates(
 ) -> list[InpaintCandidate]:
     """Sample every branch of the gap-bridging search, including rejected ones.
 
-    ``lookahead`` is a list of per-frame detection collections for the current
-    frame and up to ``t_trs`` frames beyond it (shorter near the sequence
-    end). Each branch autoregressively samples ``gap + len(lookahead) - 1``
-    velocities, decoding each sampled cluster quadruple to its centroids. A
-    branch is rejected if its box at the current frame overlaps no detection
-    there at ``iou_threshold``, or if a sampled step degenerates the box.
+    ``lookahead`` is a list of per-frame detection collections (boxes or
+    (M, 4) arrays) for the current frame and up to ``t_trs`` frames beyond
+    it (shorter near the sequence end). Each branch autoregressively samples
+    ``gap + len(lookahead) - 1`` velocities, decoding each sampled cluster
+    quadruple to its centroids. A branch is rejected if its box at the
+    current frame overlaps no detection there at ``iou_threshold``, or if a
+    sampled step degenerates the box.
     """
     if gap < 1:
         raise SequencingError(f"inpaint needs a gap of at least 1 frame, got {gap}")
@@ -257,7 +276,9 @@ def sample_candidates(
         hid, cell, dist = out["h"], out["c"], out["probs"]
 
     # Best overlap per lookahead frame, over branches that bridged the gap.
+    # The current frame's term (f = 0) also decides the overlap rejection.
     iou_scores = np.zeros(branches)
+    at_current = np.zeros(branches)
     full = steps_done == total_steps
     if full.any():
         for f, dets in enumerate(det_arrays):
@@ -265,30 +286,33 @@ def sample_candidates(
                 continue
             overlap = iou_matrix(path[full, gap - 1 + f], dets).max(axis=1)
             iou_scores[full] += overlap
+            if f == 0:
+                at_current[full] = overlap
+    no_overlap = full & (at_current < params.iou_threshold)
 
     steps_before_scoring = tracklet.state.steps_consumed + gap - 1
     candidates = []
     for s in range(branches):
-        died = steps_done[s] < total_steps
-        boxes = [BoundingBox(*map(float, row)) for row in path[s, : steps_done[s]]]
-        cand = InpaintCandidate(
+        if not full[s]:
+            reason = "degenerate box"
+        elif no_overlap[s]:
+            reason = "no overlap at current frame"
+        else:
+            reason = ""
+        candidates.append(InpaintCandidate(
             branch_index=s,
             gap=gap,
-            boxes=boxes,
+            path=path[s, : steps_done[s]],
             state_at_scoring=RecurrentState(
                 hidden=snap[0][s], cell=snap[1][s], steps_consumed=steps_before_scoring
             ),
             dist_at_scoring=snap[2][s],
-            box_at_scoring=BoundingBox(*map(float, snap[3][s])),
+            origin=snap[3][s],
             sample_log_likelihood=float(log_lik[s]),
             iou_score=float(iou_scores[s]),
-            rejected=bool(died),
-            rejection_reason="degenerate box" if died else "",
-        )
-        if not died and _best_iou(boxes[gap - 1], det_arrays[0]) < params.iou_threshold:
-            cand.rejected = True
-            cand.rejection_reason = "no overlap at current frame"
-        candidates.append(cand)
+            rejected=bool(reason),
+            rejection_reason=reason,
+        ))
     return candidates
 
 
@@ -314,14 +338,6 @@ def inpaint(
     if not survivors:
         return None
     return max(survivors, key=lambda c: (c.iou_score, c.sample_log_likelihood, -c.branch_index))
-
-
-def score_candidate_detection(
-    candidate: InpaintCandidate, detection: BoundingBox, frame: FrameGeometry, codebook: Codebook
-) -> float:
-    """Log-likelihood of a current-frame detection under an inpainted branch."""
-    delta = velocity(candidate.box_at_scoring, detection, frame)
-    return log_likelihood(candidate.dist_at_scoring, quantize(delta, codebook))
 
 
 def reattach(

@@ -4,7 +4,9 @@ Each frame, tracklets seen on the previous frame compete for detections
 through the motion model's likelihood (pass 1). Tracklets that lost their
 object earlier get a second chance: sampled continuations bridge the gap,
 and the surviving branch competes for the still-unassigned detections
-(pass 2). New detections open tentative tracklets that must be matched again
+(pass 2). Each pass scores all of its tracklet-detection pairs in one
+``score_detection`` call and gates the resulting cost matrix before the
+assignment. New detections open tentative tracklets that must be matched again
 before they count; confirmed tracklets survive a configurable number of
 missed frames before termination.
 
@@ -25,7 +27,7 @@ import numpy as np
 from .assignment import FORBIDDEN, solve
 from .codebook import Codebook
 from .errors import SequencingError
-from .geometry import BoundingBox, FrameGeometry
+from .geometry import BoundingBox, FrameGeometry, boxes_to_array
 from .motion_model import ModelWeights
 from .scoring import (
     SOURCE_DETECTED,
@@ -39,7 +41,6 @@ from .scoring import (
     inpaint,
     new_tracklet,
     reattach,
-    score_candidate_detection,
     score_detection,
     t_trs_for_frame_rate,
 )
@@ -149,14 +150,10 @@ def _detection_boxes(detections, min_confidence: float) -> list[BoundingBox]:
     return boxes
 
 
-def _gated_costs(scores_rows: list[list[float]], gate: float) -> np.ndarray:
-    costs = np.full((len(scores_rows), len(scores_rows[0]) if scores_rows else 0), FORBIDDEN)
-    for i, row in enumerate(scores_rows):
-        for j, log_lik in enumerate(row):
-            cost = -log_lik
-            if cost <= gate:
-                costs[i, j] = cost
-    return costs
+def _gated(log_lik: np.ndarray, gate: float) -> np.ndarray:
+    """Costs (negative log-likelihoods) with every pair above the gate forbidden."""
+    cost = -log_lik
+    return np.where(cost <= gate, cost, FORBIDDEN)
 
 
 def process_frame(
@@ -179,6 +176,7 @@ def process_frame(
         )
     config = state.config
     boxes = _detection_boxes(detections, config.min_detection_confidence)
+    det_array = boxes_to_array(boxes)
 
     committed: list[tuple[int, BoundingBox, str]] = []
     matched_tracklets: set[int] = set()
@@ -187,11 +185,12 @@ def process_frame(
     # Pass 1: tracklets that were present on the previous frame.
     live = [t for t in state.tracklets if t.status in (STATUS_TENTATIVE, STATUS_ACTIVE)]
     if live and boxes:
-        rows = [
-            [score_detection(t, b, state.frame, state.codebook) for b in boxes]
-            for t in live
-        ]
-        for i, j in solve(_gated_costs(rows, state.gate)):
+        log_lik = score_detection(
+            np.stack([t.last_box.box.as_array() for t in live]),
+            np.stack([t.dist for t in live]),
+            det_array, state.frame, state.codebook,
+        )
+        for i, j in solve(_gated(log_lik, state.gate)):
             tracklet = live[i]
             advance(tracklet, boxes[j], frame_index, state.frame, SOURCE_DETECTED, state.weights)
             tracklet.hits += 1
@@ -207,7 +206,11 @@ def process_frame(
     gapped = [t for t in state.tracklets if t.status == STATUS_GAPPED]
     remaining = [j for j in range(len(boxes)) if j not in matched_dets]
     if gapped and remaining and config.inpaint.num_samples > 0:
-        lookahead = [boxes, *(_detection_boxes(f, config.min_detection_confidence) for f in future_detections)]
+        lookahead = [
+            det_array,
+            *(boxes_to_array(_detection_boxes(f, config.min_detection_confidence))
+              for f in future_detections),
+        ]
         bidders = []
         for tracklet in gapped:
             gap = frame_index - tracklet.last_frame
@@ -218,14 +221,12 @@ def process_frame(
             if candidate is not None:
                 bidders.append((tracklet, candidate))
         if bidders:
-            rows = [
-                [
-                    score_candidate_detection(cand, boxes[j], state.frame, state.codebook)
-                    for j in remaining
-                ]
-                for _, cand in bidders
-            ]
-            for i, j in solve(_gated_costs(rows, state.gate)):
+            log_lik = score_detection(
+                np.stack([cand.origin for _, cand in bidders]),
+                np.stack([cand.dist_at_scoring for _, cand in bidders]),
+                det_array[remaining], state.frame, state.codebook,
+            )
+            for i, j in solve(_gated(log_lik, state.gate)):
                 tracklet, candidate = bidders[i]
                 det = boxes[remaining[j]]
                 reattach(tracklet, candidate, det, frame_index, state.frame, state.weights)

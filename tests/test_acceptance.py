@@ -263,8 +263,9 @@ def test_a5_uniform_model_log_likelihood():
         tracklet = new_tracklet(1, 1, BoundingBox(10.0, 10.0, 20.0, 20.0), weights)
         book = Codebook(centroids=np.tile(np.linspace(-0.1, 0.1, k), (4, 1)), k=k)
         got = score_detection(
-            tracklet, BoundingBox(12.0, 11.0, 20.0, 20.0), FrameGeometry(640.0, 480.0), book
-        )
+            tracklet.last_box.box.as_array()[None], tracklet.dist[None],
+            np.array([[12.0, 11.0, 20.0, 20.0]]), FrameGeometry(640.0, 480.0), book,
+        )[0, 0]
         want = 4.0 * math.log(1.0 / k)
         worst = max(worst, abs(got - want))
         check = log_likelihood(np.full((4, k), 1.0 / k), (0, k - 1, k // 2, 1))

@@ -16,7 +16,7 @@ from gaptrack import (
     iou,
     new_tracklet,
     sample_candidates,
-    score_candidate_detection,
+    score_detection,
     reattach,
 )
 from gaptrack.scoring import (
@@ -266,8 +266,9 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     assert best is not None
 
     detection = truth[current - 1]
-    ll = score_candidate_detection(best, detection, clean_scene.geometry, book)
-    assert np.isfinite(ll)
+    ll = score_detection(best.origin[None], best.dist_at_scoring[None], detection.as_array()[None],
+                         clean_scene.geometry, book)
+    assert ll.shape == (1, 1) and np.isfinite(ll[0, 0])
 
     frames_before = len(t.boxes)
     t = reattach(t, best, detection, current, clean_scene.geometry, weights)
@@ -279,3 +280,75 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     # frames stay contiguous across the whole history
     frames = [tb.frame for tb in t.boxes]
     assert frames == list(range(frames[0], frames[0] + len(frames)))
+
+
+def per_branch_fate(cand, gap, total_steps, current_dets, threshold):
+    """Reference rejection rule, one branch at a time: degenerate if the path
+    stops short, else no overlap if its current-frame box's best IOU against
+    the current detections falls under the threshold."""
+    if len(cand.path) < total_steps:
+        return "degenerate box"
+    box = BoundingBox(*cand.path[gap - 1])
+    best = max((iou(box, d) for d in current_dets), default=0.0)
+    return "no overlap at current frame" if best < threshold else ""
+
+
+def check_candidates(cands, tracklet, gap, lookahead, threshold):
+    total_steps = gap + len(lookahead) - 1
+    fates = []
+    for cand in cands:
+        fate = per_branch_fate(cand, gap, total_steps, lookahead[0], threshold)
+        assert cand.rejection_reason == fate
+        assert cand.rejected == (fate != "")
+        # the box views are the path rows and the scoring origin
+        assert len(cand.boxes) == len(cand.path)
+        for box, row in zip(cand.boxes, cand.path):
+            assert box == BoundingBox(*row)
+            assert np.array_equal(box.as_array(), row)
+        assert np.array_equal(cand.box_at_scoring.as_array(), cand.origin)
+        if not fate:
+            before = cand.path[gap - 2] if gap > 1 else tracklet.last_box.box.as_array()
+            assert np.array_equal(cand.origin, before)
+        fates.append(fate)
+    return fates
+
+
+def test_rejections_match_per_branch_overlap_rule(tiny_model, clean_scene):
+    weights, book = tiny_model
+    seen = set()
+    for gap, threshold, seed in ((1, 0.5, 0), (3, 0.5, 1), (3, 0.7, 2), (4, 0.3, 3), (2, 0.9, 4)):
+        t, _, lookahead = gap_setup(clean_scene, weights, obj_id=1 + seed, gap=gap)
+        params = InpaintParams(num_samples=30, iou_threshold=threshold)
+        cands = sample_candidates(t, gap, lookahead, params, weights, book, clean_scene.geometry,
+                                  np.random.default_rng(seed))
+        seen.update(check_candidates(cands, t, gap, lookahead, threshold))
+    assert seen == {"", "no overlap at current frame"}
+
+
+def test_rejections_cover_degenerate_and_empty_frames():
+    # Half the branches shrink the width below zero on their first step; of
+    # the rest, those moving right keep full overlap with the current
+    # detection and those moving left fall under the threshold.
+    geometry = FrameGeometry(1000.0, 1000.0)
+    book = Codebook(centroids=np.array([
+        [-0.01, 0.01],
+        [0.0, 0.01],
+        [-0.2, 0.0],
+        [0.0, 0.01],
+    ]), k=2)
+    weights = programmed_weights(book, favored=[(0, 1), 0, (0, 1), 0])
+    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), weights)
+    params = InpaintParams(num_samples=24, iou_threshold=0.7)
+    dets = [BoundingBox(510.0 + 10.0 * i, 500.0, 100.0, 100.0) for i in range(3)]
+    lookahead = [[d] for d in dets]
+    for gap in (1, 2):
+        cands = sample_candidates(t, gap, lookahead, params, weights, book, geometry,
+                                  np.random.default_rng(gap))
+        fates = check_candidates(cands, t, gap, lookahead, 0.7)
+        assert "degenerate box" in fates and "" in fates
+
+    # a current frame with no detections rejects every surviving branch
+    cands = sample_candidates(t, 1, [[], dets[1:]], params, weights, book, geometry,
+                              np.random.default_rng(0))
+    fates = check_candidates(cands, t, 1, [[], dets[1:]], 0.7)
+    assert set(fates) == {"degenerate box", "no overlap at current frame"}
