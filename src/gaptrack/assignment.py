@@ -9,7 +9,9 @@ The allowed entries form a bipartite graph, which is split into connected
 components. Components share no rows or columns, so each one's maximum
 cardinality, minimum cost and smallest row-sorted pair list are its own, and
 the answer is their union. A component with one row or one column takes its
-cheapest entry, the lowest index on a tie.
+cheapest entry, the lowest index on a tie. When no row and no column has two
+allowed entries, every component is a single pair, and the answer is every
+allowed pair, found without labelling components.
 
 Larger components are solved by a rectangular shortest-augmenting-path
 method (Jonker-Volgenant style, Crouse 2016) over the shorter side, which is
@@ -309,6 +311,9 @@ def solve(costs: np.ndarray) -> list[tuple[int, int]]:
     finite = np.isfinite(costs)
     if not finite.any():
         return []
+    if finite.sum(axis=1).max() == 1 and finite.sum(axis=0).max() == 1:
+        rows, cols = np.nonzero(finite)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     row_label, col_label = _components(finite)
     rows_in = np.bincount(row_label, minlength=n_rows + 1)

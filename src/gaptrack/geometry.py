@@ -146,20 +146,29 @@ def velocities_from_boxes(boxes: np.ndarray, frame: FrameGeometry) -> np.ndarray
     return deltas / scale
 
 
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise IOU of (..., 4) box arrays that broadcast against each other.
+
+    Boxes are (left, top, width, height) rows. Pairs that do not overlap, or
+    only touch, get 0. :func:`iou_matrix` is this over every (row, column)
+    pair, so one pair's IOU has the same bits whichever of the two computes it.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ax1, ay1 = a[..., 0], a[..., 1]
+    ax2, ay2 = ax1 + a[..., 2], ay1 + a[..., 3]
+    bx1, by1 = b[..., 0], b[..., 1]
+    bx2, by2 = bx1 + b[..., 2], by1 + b[..., 3]
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(inter > 0.0, inter / union, 0.0)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IOU between (N, 4) and (M, 4) box arrays, returned as (N, M)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax1, ay1 = a[:, 0:1], a[:, 1:2]
-    ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
-    bx1, by1 = b[:, 0], b[:, 1]
-    bx2, by2 = bx1 + b[:, 2], by1 + b[:, 3]
-    ix = np.minimum(ax2, bx2[None, :]) - np.maximum(ax1, bx1[None, :])
-    iy = np.minimum(ay2, by2[None, :]) - np.maximum(ay1, by1[None, :])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[:, 2] * a[:, 3])[:, None]
-    area_b = (b[:, 2] * b[:, 3])[None, :]
-    union = area_a + area_b - inter
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(inter > 0.0, inter / union, 0.0)
-    return out
+    return box_iou(a[:, None], b[None, :])

@@ -1,12 +1,20 @@
 """Tracking quality metrics: MOTA, MOTP, identity measures, and coverage.
 
-The evaluation follows the usual multi-object tracking conventions. Per
-frame, ground-truth boxes are matched to predicted boxes at an IOU
-threshold, preferring each object's most recent partner before solving the
-leftovers optimally. An identity switch is counted when an object matches a
-different tracker id than its last known one, even if frames were missed in
-between. Identity F1 matches whole trajectories globally by co-occurrence
-counts.
+The evaluation follows CLEAR MOT (Bernardin & Stiefelhagen 2008) and
+identity F1 (Ristani et al. 2016). Per frame, ground-truth boxes are matched
+to predicted boxes at an IOU threshold, preferring each object's most recent
+partner before solving the leftovers optimally. An identity switch is
+counted when an object matches a different tracker id than its last known
+one, even if frames were missed in between. Identity F1 matches whole
+trajectories globally by co-occurrence counts.
+
+Rows become frame-sorted arrays once: frames, ids and boxes, in input order
+within a frame (the leftover solve breaks ties by that order). The IOU of
+each same-frame (ground truth, prediction) pair is computed once, in blocks
+of consecutive frames holding at most ``PAIR_BLOCK`` pairs (a larger frame is
+a block of its own), so memory stays bounded on long, crowded sequences.
+Each frame is matched on its slice of its block, and the pairs at or above
+the threshold are kept as the co-occurrences that identity F1 counts.
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ import numpy as np
 
 from .assignment import FORBIDDEN, solve
 from .errors import MetricsInputError
-from .geometry import iou_matrix
+from .geometry import box_iou
 
 MOSTLY_TRACKED_COVERAGE = 0.8
 MOSTLY_LOST_COVERAGE = 0.2
+# Same-frame pairs whose IOUs are computed in one call.
+PAIR_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -53,88 +63,100 @@ class MetricsReport:
     mostly_lost: float
 
 
-def _normalize(rows, label: str) -> dict[int, tuple[list[int], np.ndarray]]:
-    """Group (frame, id, box) rows by frame; duplicate (frame, id) pairs are an error."""
-    seen = set()
-    by_frame: dict[int, tuple[list[int], list]] = {}
+def _integers(values: list, label: str, field: str) -> np.ndarray:
+    """``values`` as int64; a value that is not an integer is an error, not truncated."""
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        integral = np.isfinite(array) & (array == np.floor(array))
+    elif array.dtype.kind in "biu":
+        integral = np.ones(array.shape, dtype=bool)
+    else:
+        integral = np.array([isinstance(v, (int, np.integer)) for v in values])
+    if not integral.all():
+        raise MetricsInputError(f"{label} {field} must be an integer, got {values[integral.argmin()]!r}")
+    return array.astype(np.int64)
+
+
+def _rows_to_arrays(rows, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frames, ids, boxes) of (frame, id, box) rows, stably sorted by frame.
+
+    Duplicate (frame, id) pairs are an error naming the first repeated row.
+    """
+    frames, ids, coords = [], [], []
     for row in rows:
         if isinstance(row, tuple):
             frame, track_id, box = row
         else:
             frame, track_id, box = row.frame, row.track_id, row.box
-        key = (frame, track_id)
-        if key in seen:
-            raise MetricsInputError(f"duplicate {label} entry for frame {frame}, id {track_id}")
-        seen.add(key)
-        ids, boxes = by_frame.setdefault(frame, ([], []))
+        frames.append(frame)
         ids.append(track_id)
-        boxes.append(box.as_array())
-    return {
-        frame: (ids, np.stack(boxes))
-        for frame, (ids, boxes) in by_frame.items()
-    }
+        coords.append((box.x, box.y, box.w, box.h))
+    frames = _integers(frames, label, "frame")
+    ids = _integers(ids, label, "id")
+    boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    by_key = np.lexsort((ids, frames))
+    later = by_key[1:]
+    repeated = (frames[later] == frames[by_key[:-1]]) & (ids[later] == ids[by_key[:-1]])
+    if repeated.any():
+        first = later[repeated].min()
+        raise MetricsInputError(f"duplicate {label} entry for frame {frames[first]}, id {ids[first]}")
+    order = np.argsort(frames, kind="stable")
+    return frames[order], ids[order], boxes[order]
 
 
 def _match_frame(
-    gt_ids: list[int],
-    gt_boxes: np.ndarray,
-    pred_ids: list[int],
-    pred_boxes: np.ndarray,
-    last_match: dict[int, int],
+    ious: np.ndarray,
+    gt_codes: np.ndarray,
+    pred_codes: np.ndarray,
+    last_match: np.ndarray,
     iou_threshold: float,
-) -> dict[int, tuple[int, float]]:
-    """One frame's matching: gt id -> (pred id, iou)."""
-    ious = iou_matrix(gt_boxes, pred_boxes)
-    pred_index = {pid: j for j, pid in enumerate(pred_ids)}
-    matches: dict[int, tuple[int, float]] = {}
-    taken = set()
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frame's matching as (gt rows, pred columns) of its (G, P) IOUs.
 
-    # Keep an object's previous partner whenever it still overlaps enough.
-    for i in sorted(range(len(gt_ids)), key=lambda i: gt_ids[i]):
-        pid = last_match.get(gt_ids[i])
-        if pid is None or pid not in pred_index or pid in taken:
-            continue
-        j = pred_index[pid]
-        if ious[i, j] >= iou_threshold:
-            matches[gt_ids[i]] = (pid, float(ious[i, j]))
-            taken.add(pid)
+    ``last_match`` holds each object's last partner code (-1 for none). Kept
+    partners come first, in object id order, then the leftover solve's pairs.
+    """
+    allowed = ious >= iou_threshold
+    # Keep an object's previous partner whenever it still overlaps enough;
+    # objects claim in id order, and a partner goes to the first claim.
+    rows, cols = np.nonzero(allowed & (pred_codes == last_match[gt_codes][:, None]))
+    by_id = np.argsort(gt_codes[rows])
+    rows, cols = rows[by_id], cols[by_id]
+    if len(set(cols.tolist())) < len(cols):
+        first = np.sort(np.unique(cols, return_index=True)[1])
+        rows, cols = rows[first], cols[first]
 
-    free_gt = [i for i in range(len(gt_ids)) if gt_ids[i] not in matches]
-    free_pred = [j for j in range(len(pred_ids)) if pred_ids[j] not in taken]
-    if free_gt and free_pred:
-        sub = ious[np.ix_(free_gt, free_pred)]
-        costs = np.where(sub >= iou_threshold, -sub, FORBIDDEN)
-        for a, b in solve(costs):
-            i, j = free_gt[a], free_pred[b]
-            matches[gt_ids[i]] = (pred_ids[j], float(ious[i, j]))
-    return matches
+    free_gt = np.ones(len(gt_codes), dtype=bool)
+    free_gt[rows] = False
+    free_pred = np.ones(len(pred_codes), dtype=bool)
+    free_pred[cols] = False
+    free_gt, free_pred = np.flatnonzero(free_gt), np.flatnonzero(free_pred)
+    if free_gt.size and free_pred.size:
+        sub = ious[free_gt][:, free_pred]
+        solved = solve(np.where(sub >= iou_threshold, -sub, FORBIDDEN))
+        if solved:
+            a, b = np.array(solved).T
+            rows = np.concatenate([rows, free_gt[a]])
+            cols = np.concatenate([cols, free_pred[b]])
+    return rows, cols
 
 
-def _identity_true_positives(
-    gt_frames: dict[int, tuple[list[int], np.ndarray]],
-    pred_frames: dict[int, tuple[list[int], np.ndarray]],
-    iou_threshold: float,
-) -> int:
-    """Best one-to-one trajectory pairing by number of overlapping frames."""
-    overlap: dict[tuple[int, int], int] = {}
-    for frame, (gt_ids, gt_boxes) in gt_frames.items():
-        if frame not in pred_frames:
-            continue
-        pred_ids, pred_boxes = pred_frames[frame]
-        ious = iou_matrix(gt_boxes, pred_boxes)
-        for i, j in zip(*np.nonzero(ious >= iou_threshold)):
-            key = (gt_ids[i], pred_ids[j])
-            overlap[key] = overlap.get(key, 0) + 1
-    if not overlap:
+def _identity_true_positives(gt_codes: np.ndarray, pred_codes: np.ndarray) -> int:
+    """Best one-to-one trajectory pairing by number of overlapping frames.
+
+    Takes one (gt, prediction) code pair per same-frame pair at or above
+    the IOU threshold.
+    """
+    if not gt_codes.size:
         return 0
-    gt_order = sorted({g for g, _ in overlap})
-    pred_order = sorted({p for _, p in overlap})
-    gt_index = {g: a for a, g in enumerate(gt_order)}
-    pred_index = {p: b for b, p in enumerate(pred_order)}
-    costs = np.full((len(gt_order), len(pred_order)), FORBIDDEN)
-    for (g, p), count in overlap.items():
-        costs[gt_index[g], pred_index[p]] = -float(count)
-    return int(sum(overlap[(gt_order[a], pred_order[b])] for a, b in solve(costs)))
+    width = int(pred_codes.max()) + 1
+    pairs, counts = np.unique(gt_codes * width + pred_codes, return_counts=True)
+    gt_rows, rows = np.unique(pairs // width, return_inverse=True)
+    pred_cols, cols = np.unique(pairs % width, return_inverse=True)
+    costs = np.full((len(gt_rows), len(pred_cols)), FORBIDDEN)
+    costs[rows, cols] = -counts.astype(np.float64)
+    solved = np.array(solve(costs)).reshape(-1, 2)
+    return int(-costs[solved[:, 0], solved[:, 1]].sum())
 
 
 def _derive(
@@ -179,63 +201,100 @@ def _derive(
     )
 
 
+def _pair_blocks(gt_start, gt_end, pred_start, pred_end):
+    """Split frames into runs of consecutive frames holding at most ``PAIR_BLOCK`` pairs.
+
+    Takes the row ranges of every frame on both sides, over all rows, and
+    yields per run ``(lo, hi, gt_rows, pred_rows)``: frames ``lo`` to
+    ``hi - 1`` and the rows of their same-frame pairs, frame by frame and
+    gt-major. A frame with more pairs than the limit is a run of its own.
+    """
+    gt_count, pred_count = gt_end - gt_start, pred_end - pred_start
+    pair_end = np.cumsum(gt_count * pred_count)
+    # Each gt row pairs with every prediction of its frame.
+    row_pairs = np.repeat(pred_count, gt_count)
+    row_pred_start = np.repeat(pred_start, gt_count)
+    lo = 0
+    while lo < len(pair_end):
+        base = pair_end[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(pair_end, base + PAIR_BLOCK, side="right")))
+        rows = np.arange(gt_start[lo], gt_end[hi - 1])
+        reps = row_pairs[rows]
+        first = np.cumsum(reps) - reps
+        pred_rows = np.arange(pair_end[hi - 1] - base) + np.repeat(row_pred_start[rows] - first, reps)
+        yield lo, hi, np.repeat(rows, reps), pred_rows
+        lo = hi
+
+
 def evaluate(ground_truth, predictions, iou_threshold: float = 0.5) -> MetricsReport:
     """Score predicted (frame, id, box) rows against ground-truth rows.
 
     Rows may be plain tuples or objects with ``frame``, ``track_id``, and
-    ``box`` attributes, so reader output plugs in directly.
+    ``box`` attributes, so reader output plugs in directly. Frames and ids
+    must be integers, and ``iou_threshold`` must lie in (0, 1].
     """
-    gt_frames = _normalize(ground_truth, "ground-truth")
-    pred_frames = _normalize(predictions, "prediction")
+    if not 0.0 < iou_threshold <= 1.0:
+        raise MetricsInputError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    gt_frames, gt_ids, gt_boxes = _rows_to_arrays(ground_truth, "ground-truth")
+    pred_frames, pred_ids, pred_boxes = _rows_to_arrays(predictions, "prediction")
+    gt_order, gt_codes = np.unique(gt_ids, return_inverse=True)
+    pred_codes = np.unique(pred_ids, return_inverse=True)[1]
+    frames = np.union1d(gt_frames, pred_frames)
+    gt_start = np.searchsorted(gt_frames, frames)
+    gt_end = np.searchsorted(gt_frames, frames, side="right")
+    pred_start = np.searchsorted(pred_frames, frames)
+    pred_end = np.searchsorted(pred_frames, frames, side="right")
+    bounds = np.column_stack([gt_start, gt_end, pred_start, pred_end]).tolist()
+    # Coordinates as rows, so that gathered pairs keep each one contiguous.
+    gt_coords, pred_coords = gt_boxes.T.copy(), pred_boxes.T.copy()
 
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    last_match: dict[int, int] = {}
-    tp = fp = fn = ids = 0
+    last_match = np.full(len(gt_order), -1, dtype=np.int64)
+    matched_gt, matched_pred, matched_iou, hit_gt, hit_pred = [], [], [], [], []
+    for lo, hi, gt_rows, pred_rows in _pair_blocks(gt_start, gt_end, pred_start, pred_end):
+        ious = box_iou(gt_coords.take(gt_rows, axis=1).T, pred_coords.take(pred_rows, axis=1).T)
+        hit = ious >= iou_threshold
+        hit_gt.append(gt_codes[gt_rows[hit]])
+        hit_pred.append(pred_codes[pred_rows[hit]])
+        at = 0
+        for g0, g1, p0, p1 in bounds[lo:hi]:
+            if g0 == g1 or p0 == p1:
+                continue
+            frame_gt, frame_pred = gt_codes[g0:g1], pred_codes[p0:p1]
+            frame_ious = ious[at:at + (g1 - g0) * (p1 - p0)].reshape(g1 - g0, p1 - p0)
+            at += frame_ious.size
+            rows, cols = _match_frame(frame_ious, frame_gt, frame_pred, last_match, iou_threshold)
+            objects, partners = frame_gt[rows], frame_pred[cols]
+            last_match[objects] = partners
+            matched_gt.append(objects)
+            matched_pred.append(partners)
+            matched_iou.append(frame_ious[rows, cols])
+
+    empty = np.zeros(0, dtype=np.int64)
+    matched_gt = np.concatenate([empty, *matched_gt])
+    matched_pred = np.concatenate([empty, *matched_pred])
+    # Matches are in frame order, so an object's partners are in time order.
+    by_object = np.argsort(matched_gt, kind="stable")
+    objects, partners = matched_gt[by_object], matched_pred[by_object]
+    ids = np.count_nonzero((objects[1:] == objects[:-1]) & (partners[1:] != partners[:-1]))
+    # One addition at a time in match order: the bits of the sum depend on it.
     iou_sum = 0.0
-    gt_frame_counts: dict[int, int] = {}
-    gt_matched_counts: dict[int, int] = {}
-
-    for frame in frames:
-        gt_ids, gt_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
-        pred_ids, pred_boxes = pred_frames.get(frame, ([], np.zeros((0, 4))))
-        for gid in gt_ids:
-            gt_frame_counts[gid] = gt_frame_counts.get(gid, 0) + 1
-        if gt_ids and pred_ids:
-            matches = _match_frame(gt_ids, gt_boxes, pred_ids, pred_boxes, last_match, iou_threshold)
-        else:
-            matches = {}
-        for gid, (pid, pair_iou) in matches.items():
-            previous = last_match.get(gid)
-            if previous is not None and previous != pid:
-                ids += 1
-            last_match[gid] = pid
-            gt_matched_counts[gid] = gt_matched_counts.get(gid, 0) + 1
-            iou_sum += pair_iou
-        tp += len(matches)
-        fn += len(gt_ids) - len(matches)
-        fp += len(pred_ids) - len(matches)
-
-    mt = ml = 0
-    for gid, total in gt_frame_counts.items():
-        coverage = gt_matched_counts.get(gid, 0) / total
-        if coverage >= MOSTLY_TRACKED_COVERAGE:
-            mt += 1
-        elif coverage < MOSTLY_LOST_COVERAGE:
-            ml += 1
-
-    idtp = _identity_true_positives(gt_frames, pred_frames, iou_threshold)
+    for pair_iou in np.concatenate([np.zeros(0), *matched_iou]).tolist():
+        iou_sum += pair_iou
+    coverage = np.bincount(matched_gt, minlength=len(gt_order)) / np.bincount(gt_codes, minlength=len(gt_order))
+    tp = len(matched_gt)
+    idtp = _identity_true_positives(np.concatenate([empty, *hit_gt]), np.concatenate([empty, *hit_pred]))
     return _derive(
         num_frames=len(frames),
-        num_gt=sum(len(ids_) for ids_, _ in gt_frames.values()),
-        num_pred=sum(len(ids_) for ids_, _ in pred_frames.values()),
-        trajectories=len(gt_frame_counts),
+        num_gt=len(gt_ids),
+        num_pred=len(pred_ids),
+        trajectories=len(gt_order),
         tp=tp,
-        fp=fp,
-        fn=fn,
-        ids=ids,
+        fp=len(pred_ids) - tp,
+        fn=len(gt_ids) - tp,
+        ids=int(ids),
         idtp=idtp,
-        mt=mt,
-        ml=ml,
+        mt=int(np.count_nonzero(coverage >= MOSTLY_TRACKED_COVERAGE)),
+        ml=int(np.count_nonzero(coverage < MOSTLY_LOST_COVERAGE)),
         iou_sum=iou_sum,
     )
 

@@ -83,6 +83,44 @@ def test_matches_brute_force_on_random_instances():
         assert got == want, f"trial {trial}: tie-break {got} vs {want}"
 
 
+def one_to_one(rng, n, m):
+    """Costs where no row and no column has more than one allowed entry."""
+    costs = np.full((n, m), FORBIDDEN)
+    k = int(rng.integers(0, min(n, m) + 1))
+    costs[rng.choice(n, k, replace=False), rng.choice(m, k, replace=False)] = np.round(rng.uniform(-5.0, 5.0, k), 1)
+    return costs
+
+
+def test_one_to_one_costs_match_brute_force():
+    # Includes empty rows and columns, and matrices with no allowed entry.
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        costs = one_to_one(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        assert solve(costs) == brute_force(costs), f"trial {trial}"
+        assert solve(costs.T) == brute_force(costs.T), f"trial {trial}, transposed"
+
+
+def test_one_to_one_near_miss_takes_the_general_path():
+    # Rows 0 and 1 both may take column 0; only the cheaper one gets it.
+    costs = np.array([[1.0, FORBIDDEN, FORBIDDEN],
+                      [0.5, FORBIDDEN, FORBIDDEN],
+                      [FORBIDDEN, FORBIDDEN, 2.0]])
+    assert solve(costs) == [(1, 0), (2, 2)]
+    assert solve(costs.T) == [(0, 1), (2, 2)]
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        costs = one_to_one(rng, int(rng.integers(2, 6)), int(rng.integers(1, 6)))
+        # A second allowed entry in some column that already has one.
+        cols = np.flatnonzero(np.isfinite(costs).any(axis=0))
+        if not cols.size:
+            continue
+        col = int(rng.choice(cols))
+        row = int(rng.choice(np.flatnonzero(~np.isfinite(costs[:, col]))))
+        costs[row, col] = np.round(rng.uniform(-5.0, 5.0), 1)
+        assert solve(costs) == brute_force(costs), f"trial {trial}"
+        assert solve(costs.T) == brute_force(costs.T), f"trial {trial}, transposed"
+
+
 def test_integer_costs_solved_exactly():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from gaptrack import (
+    BoundingBox,
     ConfigError,
     ModelConfig,
     RunConfig,
@@ -22,6 +23,7 @@ from gaptrack import (
     from_file,
     load_config,
     read_seqinfo,
+    write_ground_truth,
 )
 from gaptrack.cli import main
 from gaptrack.config import ENV_CONFIG, to_file
@@ -292,3 +294,12 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
                "--out", str(tmp_path / "model.npz")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_iou_threshold_outside_unit_interval(tmp_path, capsys):
+    gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+    write_ground_truth(gt, [(1, 1, BoundingBox(0.0, 0.0, 20.0, 40.0))])
+    write_ground_truth(results, [(1, 7, BoundingBox(500.0, 0.0, 20.0, 40.0))])
+    rc = main(["evaluate", "--gt", str(gt), "--results", str(results), "--iou-threshold", "0"])
+    assert rc == 1
+    assert "error: iou_threshold must lie in (0, 1], got 0.0" in capsys.readouterr().err

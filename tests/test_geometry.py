@@ -16,6 +16,7 @@ from gaptrack import (
     velocities_from_boxes,
     velocity,
 )
+from gaptrack.geometry import box_iou
 
 FRAME = FrameGeometry(1000.0, 500.0)
 
@@ -106,6 +107,24 @@ def test_iou_matrix_matches_scalar():
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+
+
+def test_box_iou_equals_iou_matrix_entries():
+    rng = np.random.default_rng(4)
+    rows = boxes_to_array([random_box(rng) for _ in range(9)])
+    # Overlapping, identical and edge-touching partners besides random ones.
+    cols = np.concatenate([
+        rows + rng.normal(0.0, 5.0, rows.shape) * [1, 1, 0, 0],
+        rows[:3],
+        rows[:3] + np.c_[rows[:3, 2], np.zeros((3, 3))],
+        boxes_to_array([random_box(rng) for _ in range(5)]),
+    ])
+    mat = iou_matrix(rows, cols)
+    assert (mat > 0).any() and (mat == 0).any() and (mat == 1).any()
+    i, j = np.meshgrid(np.arange(len(rows)), np.arange(len(cols)), indexing="ij")
+    assert np.array_equal(box_iou(rows[i], cols[j]), mat)
+    assert np.array_equal(box_iou(rows[:, None], cols[None, :]), mat)
+    assert np.array_equal(box_iou(rows[4], cols), mat[4])
 
 
 def test_boxes_to_array_layout():
