@@ -16,9 +16,9 @@ from gaptrack import (
     ModelConfig,
     SceneSpec,
     TrainSchedule,
+    box_iou,
     fit_codebook,
     generate,
-    iou,
     train,
 )
 from gaptrack.scoring import (
@@ -76,7 +76,6 @@ if best is None:
 else:
     print(f"winner        branch {best.branch_index}, bridged boxes vs hidden truth:")
     for j in range(gap - 1):
-        got = best.boxes[j]
-        want = BoundingBox(*truth[20 + j])
-        print(f"  frame {21 + j}: x={got.x:6.1f} (true {want.x:6.1f})  "
-              f"y={got.y:6.1f} (true {want.y:6.1f})  iou {iou(got, want):.3f}")
+        got, want = best.path[j], truth[20 + j]
+        print(f"  frame {21 + j}: x={got[0]:6.1f} (true {want[0]:6.1f})  "
+              f"y={got[1]:6.1f} (true {want[1]:6.1f})  iou {float(box_iou(got, want)):.3f}")

@@ -3,9 +3,9 @@
 This is the library-level equivalent of the command-line pipeline
 
     gaptrack synth --out seq ...
-    gaptrack fit-codebook --out book.npz ...
-    gaptrack train --codebook book.npz --out model.npz ...
-    gaptrack track --model model.npz --codebook book.npz --sequences seq --out results
+    gaptrack fit-codebook --out book.json ...
+    gaptrack train --codebook book.json --out model.npz ...
+    gaptrack track --model model.npz --codebook book.json --sequences seq --out results
     gaptrack evaluate --gt seq --results results/<name>.txt
 
 with a deliberately small budget so it finishes in seconds. A three-frame

@@ -5,7 +5,8 @@ k-means, so a continuous velocity maps to a quadruple of cluster indices and
 each index decodes back to its component centroid. All four codebooks share
 one size K; if some component has fewer distinct sample values than requested,
 K is reduced to the smallest achievable count so the quadruple stays
-rectangular.
+rectangular. :func:`quantize` and :func:`decode` work on arrays whose last
+axis holds the four components, of any leading shape.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyInputError, SchemaError
-from .geometry import COMPONENTS, VelocityDelta
+from .geometry import COMPONENTS
 
 _FILE_MAGIC = "gaptrack-codebook"
 _FILE_VERSION = 1
@@ -30,15 +30,6 @@ _EXACT_FIT_LIMIT = 64
 
 # Centroids closer than this are considered duplicates.
 _DEDUP_TOL = 1e-12
-
-
-class ClusterIndexQuad(NamedTuple):
-    """Cluster indices for (dx, dy, dw, dh)."""
-
-    dx: int
-    dy: int
-    dw: int
-    dh: int
 
 
 @dataclass(frozen=True)
@@ -202,32 +193,20 @@ def _fit_component(values: np.ndarray, weights: np.ndarray, k: int, rng: np.rand
     return _spread_duplicates(_fit_lloyd(values, weights, k, rng, max_iters), values, k)
 
 
-def _as_sample_array(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        arr = np.asarray(samples, dtype=np.float64)
-    else:
-        samples = list(samples)
-        if samples and isinstance(samples[0], VelocityDelta):
-            arr = np.stack([s.as_array() for s in samples]) if samples else np.zeros((0, 4))
-        else:
-            arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise EmptyInputError(f"expected velocity samples of shape (N, 4), got {arr.shape}")
-    return arr
-
-
 def fit(samples, k: int, seed: int, max_iters: int = 100) -> Codebook:
     """Fit four independent 1-D codebooks of common size to velocity samples.
 
-    ``samples`` is an (N, 4) array or a sequence of :class:`VelocityDelta`.
-    Each component is clustered on its distinct values (weighted by
-    multiplicity). If any component has fewer than ``k`` distinct values, the
-    common size is reduced to the smallest distinct count so every component
-    returns the same number of centroids. Deterministic given
+    ``samples`` is an (N, 4) array of velocities. Each component is
+    clustered on its distinct values (weighted by multiplicity). If any
+    component has fewer than ``k`` distinct values, the common size is
+    reduced to the smallest distinct count so every component returns the
+    same number of centroids. Deterministic given
     ``(samples, k, seed)``; each component draws from its own seeded stream so
     the result does not depend on evaluation order.
     """
-    arr = _as_sample_array(samples)
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise EmptyInputError(f"expected velocity samples of shape (N, 4), got {arr.shape}")
     if arr.shape[0] == 0:
         raise EmptyInputError("cannot fit a codebook on zero velocity samples")
     if k < 1:
@@ -247,39 +226,11 @@ def fit(samples, k: int, seed: int, max_iters: int = 100) -> Codebook:
     return Codebook(centroids=np.stack(rows), k=k_eff)
 
 
-def _component_index(component) -> int:
-    if isinstance(component, str):
-        try:
-            return COMPONENTS.index(component)
-        except ValueError:
-            raise IndexError(f"unknown component {component!r}, expected one of {COMPONENTS}") from None
-    idx = int(component)
-    if not 0 <= idx < 4:
-        raise IndexError(f"component index out of range: {idx}")
-    return idx
+def quantize(deltas: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Nearest-centroid indices of (..., 4) velocities, as an int64 array of the same shape.
 
-
-def quantize_component(value: float, component, codebook: Codebook) -> int:
-    """Index of the nearest centroid; exact midpoint ties go to the lower index."""
-    row = codebook.centroids[_component_index(component)]
-    mids = 0.5 * (row[:-1] + row[1:])
-    return int(np.searchsorted(mids, value, side="left"))
-
-
-def quantize(deltas, codebook: Codebook):
-    """Nearest-centroid indices for velocities; exact midpoint ties go to the lower index.
-
-    ``deltas`` is one :class:`VelocityDelta`, which gives a
-    :class:`ClusterIndexQuad`, or an array of any shape whose last axis holds
-    (dx, dy, dw, dh), which gives an int64 array of the same shape.
+    Exact midpoint ties go to the lower index.
     """
-    if isinstance(deltas, VelocityDelta):
-        return ClusterIndexQuad(*(int(i) for i in quantize_array(deltas.as_array(), codebook)))
-    return quantize_array(deltas, codebook)
-
-
-def quantize_array(deltas: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Array form of :func:`quantize`: (..., 4) velocities to (..., 4) int64 indices."""
     deltas = np.asarray(deltas, dtype=np.float64)
     out = np.empty(deltas.shape, dtype=np.int64)
     for c in range(4):
@@ -289,17 +240,13 @@ def quantize_array(deltas: np.ndarray, codebook: Codebook) -> np.ndarray:
     return out
 
 
-def centroid_value(component, index: int, codebook: Codebook) -> float:
-    """Centroid value for one component index; raises IndexError when out of range."""
-    row = codebook.centroids[_component_index(component)]
-    if not 0 <= index < codebook.k:
-        raise IndexError(f"centroid index {index} out of range for k={codebook.k}")
-    return float(row[index])
+# The benchmark still calls the quantizer by this name.
+quantize_array = quantize
 
 
-def decode(quad, codebook: Codebook) -> VelocityDelta:
-    """Velocity made of the centroids selected by a cluster-index quadruple."""
-    return VelocityDelta(*(centroid_value(c, int(idx), codebook) for c, idx in enumerate(quad)))
+def decode(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Velocities made of the centroids that (..., 4) cluster-index quadruples select."""
+    return codebook.centroids[np.arange(4), cells]
 
 
 def save_codebook(path, codebook: Codebook) -> None:

@@ -5,6 +5,11 @@ used by MOT-style CSV files. A velocity is the per-frame difference between
 two boxes normalized by the frame dimensions: x-like components (dx, dw) by
 frame width, y-like components (dy, dh) by frame height. Normalization makes
 velocities comparable across video resolutions.
+
+Every operation here works on arrays whose last axis holds the four box or
+velocity components and broadcasts over the leading axes, so one call
+serves a single pair, one pass's (N, M) pairs or a batch of branches.
+:class:`BoundingBox` is the validated record for boxes read from files.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ class FrameGeometry:
         if self.width <= 0 or self.height <= 0:
             raise GeometryError(f"frame dimensions must be positive, got {self.width}x{self.height}")
 
+    @property
+    def scale(self) -> np.ndarray:
+        """Per-component normalizer (width, height, width, height) of a velocity."""
+        return np.array([self.width, self.height, self.width, self.height])
+
 
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
@@ -50,77 +60,25 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise DegenerateBoxError(f"box width and height must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
 
 
-@dataclass(frozen=True, slots=True)
-class VelocityDelta:
-    """Normalized per-frame box velocity (dx, dy, dw, dh)."""
+def velocity(prev: np.ndarray, nxt: np.ndarray, frame: FrameGeometry) -> np.ndarray:
+    """Normalized velocities taking ``prev`` boxes to ``nxt`` boxes over one frame step.
 
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def __post_init__(self):
-        for v in (self.dx, self.dy, self.dw, self.dh):
-            if not math.isfinite(v):
-                raise GeometryError(f"velocity components must be finite, got {(self.dx, self.dy, self.dw, self.dh)}")
-
-    @classmethod
-    def zero(cls) -> "VelocityDelta":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dw, self.dh], dtype=np.float64)
-
-
-def velocity(prev: BoundingBox, nxt: BoundingBox, frame: FrameGeometry) -> VelocityDelta:
-    """Normalized velocity taking ``prev`` to ``nxt`` over one frame step."""
-    return VelocityDelta(
-        dx=(nxt.x - prev.x) / frame.width,
-        dy=(nxt.y - prev.y) / frame.height,
-        dw=(nxt.w - prev.w) / frame.width,
-        dh=(nxt.h - prev.h) / frame.height,
-    )
-
-
-def apply_velocity(prev: BoundingBox, delta: VelocityDelta, frame: FrameGeometry) -> BoundingBox:
-    """Advance ``prev`` by one frame step of ``delta``.
-
-    Inverse of :func:`velocity`: ``apply_velocity(prev, velocity(prev, nxt, f), f)``
-    recovers ``nxt`` up to floating-point rounding. Raises
-    :class:`DegenerateBoxError` if the resulting width or height is not positive.
+    Both are (..., 4) box arrays that broadcast against each other.
     """
-    return BoundingBox(
-        x=prev.x + delta.dx * frame.width,
-        y=prev.y + delta.dy * frame.height,
-        w=prev.w + delta.dw * frame.width,
-        h=prev.h + delta.dh * frame.height,
-    )
+    return (nxt - prev) / frame.scale
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = min(a.right, b.right) - max(a.x, b.x)
-    iy = min(a.bottom, b.bottom) - max(a.y, b.y)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def apply_velocity(prev: np.ndarray, delta: np.ndarray, frame: FrameGeometry) -> np.ndarray:
+    """Advance (..., 4) ``prev`` boxes by one frame step of (..., 4) velocities.
+
+    Inverse of :func:`velocity` up to floating-point rounding. The result is
+    not validated: a width or height may come out non-positive.
+    """
+    return prev + delta * frame.scale
 
 
 def boxes_to_array(boxes) -> np.ndarray:
@@ -133,17 +91,14 @@ def boxes_to_array(boxes) -> np.ndarray:
 def velocities_from_boxes(boxes: np.ndarray, frame: FrameGeometry) -> np.ndarray:
     """Normalized velocities for a (T, 4) box array, returned as (T-1, 4).
 
-    Vectorized counterpart of :func:`velocity` for training and scene
-    preparation. Columns follow :data:`COMPONENTS`.
+    Columns follow :data:`COMPONENTS`.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise GeometryError(f"expected a (T, 4) box array, got shape {boxes.shape}")
     if not np.all(np.isfinite(boxes)):
         raise GeometryError("box array contains non-finite values")
-    deltas = np.diff(boxes, axis=0)
-    scale = np.array([frame.width, frame.height, frame.width, frame.height])
-    return deltas / scale
+    return velocity(boxes[:-1], boxes[1:], frame)
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ comes from an INI file with a single ``[Sequence]`` section.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +70,15 @@ def _parse_row(path: str, line_number: int, line: str, min_fields: int) -> list[
         raise ParseError(path, line_number, f"non-numeric field: {exc}") from None
 
 
+def _row_int(path: str, line_number: int, value: float, name: str, minimum: float = -math.inf) -> int:
+    """A frame or id column as an int; it must be a finite whole number of at least ``minimum``."""
+    if not value.is_integer():
+        raise ParseError(path, line_number, f"{name} must be a whole number, got {value:g}")
+    if value < minimum:
+        raise ParseError(path, line_number, f"{name} must be >= {minimum:g}, got {value:g}")
+    return int(value)
+
+
 def _row_box(path: str, line_number: int, values: list[float]) -> BoundingBox:
     try:
         return BoundingBox(values[2], values[3], values[4], values[5])
@@ -85,9 +95,7 @@ def read_detections(path, min_confidence: float | None = None) -> list[Detection
         if not line:
             continue
         values = _parse_row(str(path), line_number, line, 7)
-        frame = int(values[0])
-        if frame < 1:
-            raise ParseError(str(path), line_number, f"frame index must be >= 1, got {frame}")
+        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
         conf = values[6]
         if min_confidence is not None and conf < min_confidence:
             continue
@@ -113,9 +121,8 @@ def read_ground_truth(
         if not line:
             continue
         values = _parse_row(str(path), line_number, line, 6)
-        frame = int(values[0])
-        if frame < 1:
-            raise ParseError(str(path), line_number, f"frame index must be >= 1, got {frame}")
+        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
+        track_id = _row_int(str(path), line_number, values[1], "id")
         active = bool(int(values[6])) if len(values) > 6 else True
         class_id = int(values[7]) if len(values) > 7 else 1
         visibility = values[8] if len(values) > 8 else 1.0
@@ -128,7 +135,7 @@ def read_ground_truth(
         out.append(
             GroundTruthBox(
                 frame=frame,
-                track_id=int(values[1]),
+                track_id=track_id,
                 box=_row_box(str(path), line_number, values),
                 active=active,
                 class_id=class_id,
@@ -147,19 +154,17 @@ def read_labeled_boxes(path) -> list[tuple[int, int, BoundingBox]]:
         if not line:
             continue
         values = _parse_row(str(path), line_number, line, 6)
-        out.append((int(values[0]), int(values[1]), _row_box(str(path), line_number, values)))
+        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
+        track_id = _row_int(str(path), line_number, values[1], "id")
+        out.append((frame, track_id, _row_box(str(path), line_number, values)))
     return out
 
 
-def write_results(path, frame_results, include_inpainted: bool = True) -> None:
+def write_results(path, frame_results) -> None:
     """Write tracker output rows, frame-major then id-ascending, 2-decimal coords."""
-    from .scoring import SOURCE_INPAINTED  # local import avoids a module cycle
-
     lines = []
     for result in frame_results:
-        for tracklet_id, box, source in sorted(result.committed, key=lambda row: row[0]):
-            if not include_inpainted and source == SOURCE_INPAINTED:
-                continue
+        for tracklet_id, box, _ in sorted(result.committed, key=lambda row: row[0]):
             lines.append(
                 f"{result.frame},{tracklet_id},{box.x:.2f},{box.y:.2f},{box.w:.2f},{box.h:.2f},1,-1,-1,-1"
             )

@@ -8,7 +8,9 @@ product of the four categoricals is the one-step predictive distribution;
 log-likelihoods over a whole tracklet are sums of per-step component terms.
 
 Implemented directly on numpy arrays so the training module can
-differentiate every operation by hand.
+differentiate every operation by hand. Distributions are (..., 4, K) arrays
+and cluster-index quadruples (..., 4) int arrays; :func:`step` is the
+single-row wrapper over the batched :func:`cell_forward`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import ClusterIndexQuad, Codebook
+from .codebook import Codebook
 from .errors import CodebookMismatchError, NumericOverflowError, SchemaError
-from .geometry import VelocityDelta
+from .geometry import COMPONENTS
 
 _FILE_MAGIC = "gaptrack-motion-model"
 _FILE_VERSION = 1
@@ -33,17 +35,19 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture sizes: velocity dimensionality, LSTM width, codebook arity."""
+    """Architecture sizes: codebook arity and LSTM width.
+
+    Inputs and heads have one row per velocity component.
+    """
 
     num_clusters: int
     hidden_dim: int = 48
-    input_dim: int = 4
 
     def __post_init__(self):
         if self.num_clusters < 1:
             raise ValueError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.hidden_dim < 1 or self.input_dim < 1:
-            raise ValueError("hidden_dim and input_dim must be positive")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 @dataclass
@@ -91,7 +95,7 @@ class RecurrentState:
 
 def init_weights(config: ModelConfig, rng: np.random.Generator) -> ModelWeights:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) initialization with forget-gate bias 1."""
-    h, d, k = config.hidden_dim, config.input_dim, config.num_clusters
+    h, d, k = config.hidden_dim, len(COMPONENTS), config.num_clusters
     s = 1.0 / np.sqrt(h)
 
     def u(*shape):
@@ -181,12 +185,12 @@ def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_pre
     return out
 
 
-def step(weights: ModelWeights, state: RecurrentState, delta: VelocityDelta):
-    """Consume one velocity; return the new state and the (C, K) distribution quad.
+def step(weights: ModelWeights, state: RecurrentState, delta: np.ndarray):
+    """Consume one (4,) velocity; return the new state and the (4, K) distribution.
 
     Raises :class:`NumericOverflowError` if activations leave the finite range.
     """
-    out = cell_forward(weights, delta.as_array()[None, :], state.hidden[None, :], state.cell[None, :])
+    out = cell_forward(weights, delta[None, :], state.hidden[None, :], state.cell[None, :])
     probs = out["probs"][0]
     if not (np.all(np.isfinite(out["h"])) and np.all(np.isfinite(probs))):
         raise NumericOverflowError("motion model produced non-finite activations")
@@ -194,42 +198,29 @@ def step(weights: ModelWeights, state: RecurrentState, delta: VelocityDelta):
     return new_state, probs
 
 
-def log_likelihood(dist: np.ndarray, target: ClusterIndexQuad) -> float:
-    """Sum of component log-probabilities for a cluster-index quadruple.
+def log_likelihood(dists: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Summed component log-probabilities of cluster-index quadruples.
 
-    Probabilities are floored at :data:`PROB_FLOOR` before the log.
+    ``dists`` is (..., 4, K) and ``cells`` (..., 4); their leading axes
+    broadcast. Each selected probability is floored at :data:`PROB_FLOOR`
+    before the log, and the four logs are added in component order.
     """
-    dist = np.asarray(dist)
-    total = 0.0
-    for c, idx in enumerate(target):
-        total += float(np.log(max(dist[c, int(idx)], PROB_FLOOR)))
-    return total
-
-
-def sample(dist: np.ndarray, rng: np.random.Generator) -> ClusterIndexQuad:
-    """One multinomial draw per component, by inverse CDF; deterministic given rng state."""
-    dist = np.asarray(dist)
-    k = dist.shape[1]
-    draws = rng.random(dist.shape[0])
-    idx = []
-    for c in range(dist.shape[0]):
-        cdf = np.cumsum(dist[c])
-        idx.append(int(min(np.searchsorted(cdf, draws[c], side="right"), k - 1)))
-    return ClusterIndexQuad(*idx)
+    picked = np.take_along_axis(np.asarray(dists), np.asarray(cells)[..., None], axis=-1)[..., 0]
+    logs = np.log(np.maximum(picked, PROB_FLOOR))
+    return logs[..., 0] + logs[..., 1] + logs[..., 2] + logs[..., 3]
 
 
 def sample_batch(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized multinomial sampling for (B, C, K) distributions; returns (B, C) int."""
+    """Multinomial draws by inverse CDF for (B, C, K) distributions; returns (B, C) int.
+
+    Deterministic given the generator state; top-1 decoding is ``np.argmax``
+    over the last axis instead.
+    """
     b, c, k = probs.shape
     cdf = np.cumsum(probs, axis=2)
     u = rng.random((b, c))
     idx = np.sum(cdf < u[:, :, None], axis=2)
     return np.minimum(idx, k - 1)
-
-
-def argmax_quad(dist: np.ndarray) -> ClusterIndexQuad:
-    """Most likely cluster index per component (greedy top-1 decoding)."""
-    return ClusterIndexQuad(*(int(i) for i in np.argmax(np.asarray(dist), axis=1)))
 
 
 def save_weights(path, weights: ModelWeights, codebook_checksum: str) -> None:
@@ -240,7 +231,6 @@ def save_weights(path, weights: ModelWeights, codebook_checksum: str) -> None:
         "config": {
             "num_clusters": weights.config.num_clusters,
             "hidden_dim": weights.config.hidden_dim,
-            "input_dim": weights.config.input_dim,
         },
         "codebook_checksum": codebook_checksum,
     }
@@ -272,7 +262,7 @@ def load_weights(path, codebook: Codebook | None = None) -> ModelWeights:
             raise CodebookMismatchError(
                 "weights were trained against a different codebook than the one supplied"
             )
-        config = ModelConfig(**meta["config"])
+        config = _config_from_meta(path, meta.get("config"))
         arrays = {}
         for name in ModelWeights.PARAM_NAMES + ("input_shift", "input_scale"):
             if name not in npz:
@@ -287,8 +277,19 @@ def load_weights(path, codebook: Codebook | None = None) -> ModelWeights:
     return ModelWeights(config=config, **arrays)
 
 
+def _config_from_meta(path, data) -> ModelConfig:
+    data = dict(data or {})
+    # Files written before the input width was fixed record it; only 4 ever worked.
+    if data.pop("input_dim", len(COMPONENTS)) != len(COMPONENTS):
+        raise SchemaError(f"{path}: model input_dim must be {len(COMPONENTS)}")
+    try:
+        return ModelConfig(**data)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model config: {exc}") from None
+
+
 def _expected_shapes(config: ModelConfig) -> dict[str, tuple]:
-    h, d, k = config.hidden_dim, config.input_dim, config.num_clusters
+    h, d, k = config.hidden_dim, len(COMPONENTS), config.num_clusters
     return {
         "embed_w": (d, h), "embed_b": (h,),
         "lstm_w": (2 * h, 4 * h), "lstm_b": (4 * h,),

@@ -23,15 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codebook import Codebook, quantize
+from .codebook import Codebook, decode, quantize
 from .errors import NumericOverflowError, SequencingError
-from .geometry import BoundingBox, FrameGeometry, VelocityDelta, iou_matrix, velocity
+from .geometry import BoundingBox, FrameGeometry, apply_velocity, iou_matrix, velocity
 from .motion_model import (
-    PROB_FLOOR,
     ModelWeights,
     RecurrentState,
     cell_forward,
     init_state,
+    log_likelihood,
     sample_batch,
     step,
 )
@@ -89,7 +89,6 @@ class Tracklet:
     status: str = STATUS_TENTATIVE
     gap_length: int = 0
     hits: int = 1
-    last_velocity: VelocityDelta | None = None
 
     @property
     def last_box(self) -> TrackletBox:
@@ -111,7 +110,7 @@ def new_tracklet(tracklet_id: int, frame_index: int, box: BoundingBox, weights: 
     obtained by feeding a zero velocity as a seed token; training prepends
     the same token, keeping cold-start scores calibrated.
     """
-    state, dist = step(weights, init_state(weights), VelocityDelta.zero())
+    state, dist = step(weights, init_state(weights), np.zeros(4))
     return Tracklet(
         tracklet_id=tracklet_id,
         boxes=[TrackletBox(frame_index, box, SOURCE_DETECTED)],
@@ -131,17 +130,12 @@ def score_detection(
 
     ``origins`` is (N, 4): the box each bidder continues from. ``dists`` is
     (N, 4, K): each bidder's predictive distribution. ``detections`` is
-    (M, 4). Returns (N, M). Each entry equals the per-pair
-    :func:`~gaptrack.motion_model.log_likelihood` of the quantized velocity
-    bit for bit: the same floored logs, added in component order.
+    (M, 4). Returns (N, M): the :func:`~gaptrack.motion_model.log_likelihood`
+    of each pair's quantized velocity.
     """
-    scale = np.array([frame.width, frame.height, frame.width, frame.height])
-    deltas = (detections[None, :, :] - origins[:, None, :]) / scale
+    deltas = velocity(origins[:, None, :], detections[None, :, :], frame)
     cells = quantize(deltas, codebook)  # (N, M, 4)
-    rows = np.arange(origins.shape[0])[:, None, None]
-    probs = dists[rows, np.arange(4), cells]
-    logs = np.log(np.maximum(probs, PROB_FLOOR))
-    return logs[..., 0] + logs[..., 1] + logs[..., 2] + logs[..., 3]
+    return log_likelihood(dists[:, None], cells)
 
 
 def advance(
@@ -157,10 +151,9 @@ def advance(
         raise SequencingError(
             f"advance expects frame {tracklet.last_frame + 1}, got {frame_index}"
         )
-    delta = velocity(tracklet.last_box.box, box, frame)
+    delta = velocity(tracklet.last_box.box.as_array(), box.as_array(), frame)
     tracklet.state, tracklet.dist = step(weights, tracklet.state, delta)
     tracklet.boxes.append(TrackletBox(frame_index, box, source))
-    tracklet.last_velocity = delta
     return tracklet
 
 
@@ -241,8 +234,6 @@ def sample_candidates(
     # All branches march in lockstep as one model batch. A branch whose box
     # degenerates is frozen in place but keeps its slot, so branch indices and
     # the draw order stay stable.
-    axis_scale = np.array([frame.width, frame.height, frame.width, frame.height])
-    comp_rows = np.arange(codebook.centroids.shape[0])[None, :]
     hid = np.tile(tracklet.state.hidden, (branches, 1))
     cell = np.tile(tracklet.state.cell, (branches, 1))
     dist = np.tile(tracklet.dist, (branches, 1, 1))
@@ -256,14 +247,10 @@ def sample_candidates(
     for step_idx in range(total_steps):
         if step_idx == gap - 1:
             snap = (hid.copy(), cell.copy(), dist.copy(), last.copy())
-        if greedy:
-            quads = np.argmax(dist, axis=2)
-        else:
-            quads = sample_batch(dist, rng)
-        picked = np.take_along_axis(dist, quads[:, :, None], axis=2)[:, :, 0]
-        log_lik[alive] += np.sum(np.log(np.maximum(picked[alive], PROB_FLOOR)), axis=1)
-        vel = codebook.centroids[comp_rows, quads]  # (B, 4) normalized velocities
-        nxt = last + vel * axis_scale
+        quads = np.argmax(dist, axis=2) if greedy else sample_batch(dist, rng)
+        log_lik[alive] += log_likelihood(dist, quads)[alive]
+        vel = decode(quads, codebook)  # (B, 4) normalized velocities
+        nxt = apply_velocity(last, vel, frame)
         alive &= (nxt[:, 2] > 0.0) & (nxt[:, 3] > 0.0)
         path[alive, step_idx] = nxt[alive]
         last = np.where(alive[:, None], nxt, last)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BoundingBox, FrameGeometry
+from .geometry import BoundingBox, FrameGeometry, box_iou
 from .mot_io import Detection, SequenceMeta, write_detections, write_ground_truth, write_seqinfo
 from .training import TrainingTrack, TrainSchedule, window_tracks
 
@@ -232,8 +232,6 @@ def drop_detections(scene: Scene, frames: range | list[int], object_ids=None) ->
     overlapping those objects' ground truth (IOU above a half) are removed.
     Useful for carving controlled occlusion gaps into an otherwise easy scene.
     """
-    from .geometry import iou
-
     frames = set(frames)
     kept = []
     for det in scene.detections:
@@ -242,11 +240,8 @@ def drop_detections(scene: Scene, frames: range | list[int], object_ids=None) ->
             continue
         if object_ids is None:
             continue
-        gt = [
-            BoundingBox(*scene.trajectories[obj_id][det.frame - 1])
-            for obj_id in object_ids
-        ]
-        if any(iou(det.box, g) > 0.5 for g in gt):
+        box = det.box.as_array()
+        if any(box_iou(box, scene.trajectories[obj_id][det.frame - 1]) > 0.5 for obj_id in object_ids):
             continue
         kept.append(det)
     return Scene(

@@ -50,8 +50,7 @@ from .scoring import (
 class TrackerConfig:
     """Assignment and lifecycle knobs.
 
-    The gate is the maximum negative log-likelihood an assignment may cost;
-    ``assignment_gate`` pins it directly, otherwise it is
+    The gate is the maximum negative log-likelihood an assignment may cost:
     ``gate_factor * 4 * ln(k)`` for a k-way codebook. A factor below 1 sits
     under the uniform-distribution cost, and a fresh tracklet's predictions
     start close to uniform, so a sub-uniform gate would starve every birth
@@ -68,7 +67,6 @@ class TrackerConfig:
     """
 
     gate_factor: float = 2.0
-    assignment_gate: float | None = None
     birth_confirmation: int = 2
     termination_gap: int = 10
     min_detection_confidence: float = 0.0
@@ -122,10 +120,7 @@ def make_state(
     frame_rate: float = 30.0,
 ) -> TrackerState:
     config = config or TrackerConfig()
-    if config.assignment_gate is not None:
-        gate = config.assignment_gate
-    else:
-        gate = config.gate_factor * 4.0 * math.log(codebook.k)
+    gate = config.gate_factor * 4.0 * math.log(codebook.k)
     t_trs = config.inpaint.t_trs
     if t_trs is None:
         t_trs = t_trs_for_frame_rate(frame_rate)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, fit, quantize_array
+from .codebook import Codebook, decode, fit, quantize
 from .errors import EmptyInputError, TrainingDivergedError
 from .geometry import FrameGeometry, velocities_from_boxes
 from .motion_model import (
@@ -106,6 +106,19 @@ def _jitter_boxes(boxes: np.ndarray, fraction: float, rng: np.random.Generator) 
     return out
 
 
+def _jittered_velocities(tracks, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Velocities of every track in order, each track's boxes jittered first.
+
+    The coupling between the codebook fit and training's standardization:
+    both see the velocities the jittered training inputs have. A ``fraction``
+    of 0 takes the clean velocities and draws nothing.
+    """
+    return np.concatenate([
+        velocities_from_boxes(_jitter_boxes(t.boxes, fraction, rng) if fraction > 0 else t.boxes, t.frame)
+        for t in tracks
+    ])
+
+
 def fit_codebook(tracks, k: int, seed: int, jitter_fraction: float) -> Codebook:
     """Fit a ``k``-cell codebook on the velocities training consumes.
 
@@ -116,14 +129,7 @@ def fit_codebook(tracks, k: int, seed: int, jitter_fraction: float) -> Codebook:
     generator seeded with ``seed``, as :func:`train` does; 0 fits the clean
     velocities. Deterministic given the tracks and the arguments.
     """
-    rng = np.random.default_rng(seed)
-    samples = np.concatenate([
-        velocities_from_boxes(
-            _jitter_boxes(t.boxes, jitter_fraction, rng) if jitter_fraction > 0 else t.boxes,
-            t.frame,
-        )
-        for t in tracks
-    ])
+    samples = _jittered_velocities(tracks, jitter_fraction, np.random.default_rng(seed))
     return fit(samples, k, seed)
 
 
@@ -131,7 +137,7 @@ def _track_to_sequence(boxes: np.ndarray, frame: FrameGeometry, codebook: Codebo
     """(inputs, targets, aux) for one track: seed-prefixed velocities and next-step labels."""
     vel = velocities_from_boxes(boxes, frame)
     inputs = np.vstack([np.zeros((1, 4)), vel[:-1]])
-    targets = quantize_array(vel, codebook)
+    targets = quantize(vel, codebook)
     return inputs, targets, vel.copy()
 
 
@@ -182,7 +188,7 @@ def _teacher_force_inputs(
             mask = rng.random(b) < p_tf
             if mask.any():
                 idx = sample_batch(prev_probs[mask], rng)
-                x[mask, t] = codebook.centroids[np.arange(4)[None, :], idx]
+                x[mask, t] = decode(idx, codebook)
         core = lstm_core(weights, x[:, t], h, c)
         h, c = core["h"], core["c"]
         if t >= onset - 1:  # heads are only needed once sampling can fire
@@ -330,18 +336,7 @@ def train(
     # clean ones, and stats taken from clean tracks let the residual term blow
     # up and drown the likelihood gradients. They ride along with the weights
     # so scoring applies the identical transform.
-    stat_vel = np.concatenate(
-        [
-            velocities_from_boxes(
-                _jitter_boxes(t.boxes, schedule.jitter_fraction, rng)
-                if schedule.jitter_fraction > 0.0
-                else t.boxes,
-                t.frame,
-            )
-            for t in dataset
-        ],
-        axis=0,
-    )
+    stat_vel = _jittered_velocities(dataset, schedule.jitter_fraction, rng)
     weights.input_shift = stat_vel.mean(axis=0)
     weights.input_scale = np.maximum(stat_vel.std(axis=0), 1e-8)
 

@@ -44,7 +44,7 @@ from gaptrack import (
 from gaptrack.cli import main
 from gaptrack.scoring import SOURCE_DETECTED, InpaintParams, advance, inpaint
 from gaptrack.synth import MOTION_SINUSOIDAL
-from gaptrack.geometry import iou
+from gaptrack.geometry import box_iou
 from gaptrack.tracker import run_sequence
 from gaptrack.training import loss_and_gradients, next_step_accuracy
 
@@ -212,7 +212,7 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
         if winner is None:
             return 0.0
         return float(np.mean([
-            iou(winner.boxes[j], BoundingBox(*truth[t_last + 1 + j]))
+            box_iou(winner.path[j], truth[t_last + 1 + j])
             for j in range(gap - 1)
         ]))
 

@@ -79,6 +79,9 @@ def test_unknown_keys_fail_loudly():
         from_dict({"training": {"learning_rte": 0.1}})
     with pytest.raises(ConfigError, match="tracker.inpaint.samples"):
         from_dict({"tracker": {"inpaint": {"samples": 5}}})
+    # the gate is set through gate_factor only
+    with pytest.raises(ConfigError, match="tracker.assignment_gate"):
+        from_dict({"tracker": {"assignment_gate": 12.5}})
 
 
 def test_value_types_are_checked():
@@ -108,7 +111,6 @@ def test_nullable_fields_accept_null():
     cfg = from_dict({"training": {"clip_norm": None, "window": None}})
     assert cfg.training.clip_norm is None
     assert cfg.training.window is None
-    assert from_dict({"tracker": {"assignment_gate": 12.5}}).tracker.assignment_gate == 12.5
 
 
 def test_file_round_trip(tmp_path):
@@ -303,3 +305,12 @@ def test_evaluate_rejects_iou_threshold_outside_unit_interval(tmp_path, capsys):
     rc = main(["evaluate", "--gt", str(gt), "--results", str(results), "--iou-threshold", "0"])
     assert rc == 1
     assert "error: iou_threshold must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_nan_frame_with_an_error_line(tmp_path, capsys):
+    gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+    write_ground_truth(gt, [(1, 1, BoundingBox(0.0, 0.0, 20.0, 40.0))])
+    results.write_text("nan,7,0,0,20,40,1,-1,-1,-1\n")
+    rc = main(["evaluate", "--gt", str(gt), "--results", str(results)])
+    assert rc == 1
+    assert f"error: {results}:1: frame index must be a whole number, got nan" in capsys.readouterr().err

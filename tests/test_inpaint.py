@@ -12,8 +12,8 @@ from gaptrack import (
     ModelWeights,
     SequencingError,
     advance,
+    box_iou,
     inpaint,
-    iou,
     new_tracklet,
     sample_candidates,
     score_detection,
@@ -183,7 +183,7 @@ def test_winner_bridges_toward_truth(tiny_model, clean_scene):
     # sampled gap boxes track the missing ground truth
     for offset in range(gap - 1):
         frame = t.last_frame + 1 + offset
-        assert iou(best.boxes[offset], truth[frame - 1]) > 0.5
+        assert box_iou(best.path[offset], truth[frame - 1].as_array()) > 0.5
     # selection maximizes summed lookahead overlap, then likelihood
     others = sample_candidates(t, gap, lookahead, params, weights, book, clean_scene.geometry,
                                np.random.default_rng(3))
@@ -288,8 +288,8 @@ def per_branch_fate(cand, gap, total_steps, current_dets, threshold):
     the current detections falls under the threshold."""
     if len(cand.path) < total_steps:
         return "degenerate box"
-    box = BoundingBox(*cand.path[gap - 1])
-    best = max((iou(box, d) for d in current_dets), default=0.0)
+    box = cand.path[gap - 1]
+    best = max((float(box_iou(box, d.as_array())) for d in current_dets), default=0.0)
     return "no overlap at current frame" if best < threshold else ""
 
 

@@ -71,6 +71,35 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         read_detections(path)
 
 
+@pytest.mark.parametrize("reader", [read_detections, read_ground_truth, read_labeled_boxes],
+                         ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("frame", ["1.5", "nan", "inf", "0", "-2"])
+def test_readers_reject_frames_that_are_not_whole_and_positive(tmp_path, reader, frame):
+    path = tmp_path / "rows.txt"
+    path.write_text(f"1,1,10,10,5,5,1,1,1.0\n{frame},1,10,10,5,5,1,1,1.0\n")
+    with pytest.raises(ParseError, match="frame index") as info:
+        reader(path)
+    assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("reader", [read_ground_truth, read_labeled_boxes],
+                         ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("track_id", ["7.9", "nan", "-inf"])
+def test_readers_reject_ids_that_are_not_whole(tmp_path, reader, track_id):
+    path = tmp_path / "rows.txt"
+    path.write_text(f"1,1,10,10,5,5,1,1,1.0\n1,{track_id},10,10,5,5,1,1,1.0\n")
+    with pytest.raises(ParseError, match="id must be a whole number") as info:
+        reader(path)
+    assert info.value.line_number == 2
+
+
+def test_readers_keep_whole_numbers_written_as_floats(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("2.0,-1.0,10,10,5,5,1,1,1.0\n")
+    assert read_labeled_boxes(path) == [(2, -1, BoundingBox(10.0, 10.0, 5.0, 5.0))]
+    assert [d.frame for d in read_detections(path)] == [2]
+
+
 def test_results_row_format(tmp_path):
     path = tmp_path / "out.txt"
     results = [
@@ -78,20 +107,6 @@ def test_results_row_format(tmp_path):
     ]
     write_results(path, results)
     assert path.read_text() == "3,7,1.50,2.25,10.00,20.00,1,-1,-1,-1\n"
-
-
-def test_results_inpainted_filter(tmp_path):
-    path = tmp_path / "out.txt"
-    results = [
-        FrameResult(frame=1, committed=(
-            (1, BoundingBox(1.0, 1.0, 5.0, 5.0), "detected"),
-            (2, BoundingBox(9.0, 9.0, 5.0, 5.0), "inpainted"),
-        )),
-    ]
-    write_results(path, results, include_inpainted=False)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("1,1,")
 
 
 def test_detections_round_trip(tmp_path):

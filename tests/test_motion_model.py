@@ -1,5 +1,6 @@
 """Recurrent velocity model: forward arithmetic, likelihoods, sampling, files."""
 
+import json
 import math
 
 import numpy as np
@@ -11,14 +12,11 @@ from gaptrack import (
     ModelWeights,
     NumericOverflowError,
     SchemaError,
-    VelocityDelta,
-    argmax_quad,
     fit,
     init_state,
     init_weights,
     load_weights,
     log_likelihood,
-    sample,
     save_weights,
     step,
 )
@@ -53,7 +51,7 @@ def test_forward_pass_by_hand():
     state = init_state(weights)
 
     # Step 1: e = relu(0.3) = 0.3, all sigmoid gates 0.5, g = tanh(0.3).
-    state, dist = step(weights, state, VelocityDelta(0.3, 0.0, 0.0, 0.0))
+    state, dist = step(weights, state, np.array([0.3, 0.0, 0.0, 0.0]))
     c1 = 0.5 * math.tanh(0.3)
     h1 = 0.5 * math.tanh(c1)
     assert state.cell[0] == pytest.approx(c1, abs=1e-12)
@@ -68,7 +66,7 @@ def test_forward_pass_by_hand():
 
     # Step 2: negative dx is cut by the relu, so only the recurrent term
     # feeds the candidate gate.
-    state, dist = step(weights, state, VelocityDelta(-0.2, 0.0, 0.0, 0.0))
+    state, dist = step(weights, state, np.array([-0.2, 0.0, 0.0, 0.0]))
     g2 = math.tanh(0.5 * h1)
     c2 = 0.5 * c1 + 0.5 * g2
     h2 = 0.5 * math.tanh(c2)
@@ -83,7 +81,7 @@ def test_input_standardization_applied_before_embedding():
     weights = scalar_model()
     weights.input_shift = np.array([0.1, 0.0, 0.0, 0.0])
     weights.input_scale = np.array([0.05, 1.0, 1.0, 1.0])
-    state, _ = step(weights, init_state(weights), VelocityDelta(0.2, 0.0, 0.0, 0.0))
+    state, _ = step(weights, init_state(weights), np.array([0.2, 0.0, 0.0, 0.0]))
     # standardized dx = (0.2 - 0.1) / 0.05 = 2.0
     c1 = 0.5 * math.tanh(2.0)
     assert state.cell[0] == pytest.approx(c1, abs=1e-12)
@@ -118,11 +116,23 @@ def test_log_likelihood_floors_zero_probability():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def sample(dist, rng):
+    """Reference: one inverse-CDF draw per component, one component at a time."""
+    dist = np.asarray(dist)
+    k = dist.shape[1]
+    draws = rng.random(dist.shape[0])
+    idx = []
+    for c in range(dist.shape[0]):
+        cdf = np.cumsum(dist[c])
+        idx.append(int(min(np.searchsorted(cdf, draws[c], side="right"), k - 1)))
+    return tuple(idx)
+
+
 def test_sampling_deterministic_given_seed():
     rng = np.random.default_rng(20)
     dist = rng.dirichlet(np.ones(6), size=4)
-    a = [sample(dist, np.random.default_rng(99)) for _ in range(5)]
-    b = [sample(dist, np.random.default_rng(99)) for _ in range(5)]
+    a = [tuple(sample_batch(dist[None], np.random.default_rng(99))[0]) for _ in range(5)]
+    b = [tuple(sample_batch(dist[None], np.random.default_rng(99))[0]) for _ in range(5)]
     assert a[0] == b[0]
     # a fresh generator restarts the stream, successive draws move it
     assert len(set(a)) == 1 or a == b
@@ -153,23 +163,13 @@ def test_skewed_sampling_frequencies():
     np.testing.assert_allclose(freq, [0.7, 0.2, 0.1], atol=0.01)
 
 
-def test_argmax_quad():
-    dist = np.array([
-        [0.1, 0.9],
-        [0.8, 0.2],
-        [0.5, 0.5],
-        [0.3, 0.7],
-    ])
-    assert tuple(argmax_quad(dist)) == (1, 0, 0, 1)
-
-
 def test_step_rejects_overflow():
     weights = scalar_model()
     weights.embed_w = weights.embed_w * 1e300
     weights.input_scale = np.full(4, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError):
-            step(weights, init_state(weights), VelocityDelta(0.5, 0.0, 0.0, 0.0))
+            step(weights, init_state(weights), np.array([0.5, 0.0, 0.0, 0.0]))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -189,8 +189,8 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.input_scale, weights.input_scale)
 
     # same input, same distribution, loaded or not
-    state0, dist0 = step(weights, init_state(weights), VelocityDelta(0.01, 0.0, 0.0, 0.0))
-    state1, dist1 = step(back, init_state(back), VelocityDelta(0.01, 0.0, 0.0, 0.0))
+    state0, dist0 = step(weights, init_state(weights), np.array([0.01, 0.0, 0.0, 0.0]))
+    state1, dist1 = step(back, init_state(back), np.array([0.01, 0.0, 0.0, 0.0]))
     np.testing.assert_array_equal(dist0, dist1)
     np.testing.assert_array_equal(state0.hidden, state1.hidden)
 
@@ -214,4 +214,34 @@ def test_load_rejects_foreign_npz(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, data=np.zeros(3))
     with pytest.raises(SchemaError):
+        load_weights(path)
+
+
+def rewrite_config(path, **changes):
+    """Edit the architecture recorded in a saved model file."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    meta = json.loads(str(arrays["meta"][()]))
+    meta["config"].update(changes)
+    arrays["meta"] = np.asarray(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def test_load_reads_files_that_record_input_dim_four(tmp_path):
+    weights = init_weights(ModelConfig(num_clusters=3, hidden_dim=2), np.random.default_rng(34))
+    path = tmp_path / "model.npz"
+    save_weights(path, weights, "checksum")
+    rewrite_config(path, input_dim=4)
+    assert load_weights(path).config == weights.config
+    rewrite_config(path, input_dim=3)
+    with pytest.raises(SchemaError, match="input_dim"):
+        load_weights(path)
+
+
+def test_load_rejects_unknown_config_keys(tmp_path):
+    weights = init_weights(ModelConfig(num_clusters=3, hidden_dim=2), np.random.default_rng(35))
+    path = tmp_path / "model.npz"
+    save_weights(path, weights, "checksum")
+    rewrite_config(path, layers=2)
+    with pytest.raises(SchemaError, match="layers"):
         load_weights(path)

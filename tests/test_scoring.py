@@ -9,12 +9,9 @@ from gaptrack import (
     SequencingError,
     advance,
     boxes_to_array,
-    log_likelihood,
     new_tracklet,
-    quantize,
     sample_candidates,
     score_detection,
-    velocity,
 )
 from gaptrack.motion_model import PROB_FLOOR
 from gaptrack.scoring import SOURCE_DETECTED, STATUS_TENTATIVE
@@ -39,6 +36,33 @@ def score_one(t, det, geometry, book):
                           geometry, book)
     assert got.shape == (1, 1)
     return got[0, 0]
+
+
+def velocity(prev, nxt, frame):
+    """Reference: one pair's velocity, one component at a time."""
+    return (
+        (nxt.x - prev.x) / frame.width,
+        (nxt.y - prev.y) / frame.height,
+        (nxt.w - prev.w) / frame.width,
+        (nxt.h - prev.h) / frame.height,
+    )
+
+
+def quantize(delta, book):
+    """Reference: each component's nearest centroid, midpoint ties to the lower index."""
+    cells = []
+    for row, value in zip(book.centroids, delta):
+        mids = 0.5 * (row[:-1] + row[1:])
+        cells.append(int(np.searchsorted(mids, value, side="left")))
+    return cells
+
+
+def log_likelihood(dist, cells):
+    """Reference: floored component log-probabilities, added in component order."""
+    total = 0.0
+    for c, idx in enumerate(cells):
+        total += float(np.log(max(dist[c, int(idx)], PROB_FLOOR)))
+    return total
 
 
 def per_pair(origins, dists, detections, geometry, book):
@@ -104,7 +128,6 @@ def test_advance_appends_and_validates_frame(tiny_model, clean_scene):
     t = advance(t, boxes[1], 2, clean_scene.geometry, SOURCE_DETECTED, weights)
     assert [tb.frame for tb in t.boxes] == [1, 2]
     assert t.state.steps_consumed == 2
-    assert t.last_velocity is not None
 
     with pytest.raises(SequencingError):
         advance(t, boxes[2], 4, clean_scene.geometry, SOURCE_DETECTED, weights)
@@ -137,7 +160,7 @@ def test_pass_scorer_equals_per_pair_scores_on_grown_tracklets(tiny_model, clean
     got = score_detection(origins, dists, det_array, geometry, book)
     assert got.shape == (len(tracklets), len(dets))
     assert np.array_equal(got, per_pair(origins, dists, det_array, geometry, book))
-    far = np.abs(velocity(BoundingBox(*origins[0]), dets[-1], geometry).as_array())
+    far = np.abs(velocity(BoundingBox(*origins[0]), dets[-1], geometry))
     assert np.any(far > np.abs(book.centroids).max(axis=1))
 
 

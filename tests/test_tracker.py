@@ -165,5 +165,5 @@ def test_gate_blocks_expensive_matches(tiny_model, clean_scene):
     # an absurdly tight gate forbids every match, so each frame's detections
     # spawn fresh tentative tracklets that die unconfirmed
     result = run_sequence(clean_scene.detections, clean_scene.meta, weights, book,
-                          TrackerConfig(assignment_gate=1e-9))
+                          TrackerConfig(gate_factor=1e-12))
     assert result.tracklets == []
