@@ -24,7 +24,7 @@ from gaptrack import (
     solve,
     train,
 )
-from gaptrack.scoring import SOURCE_DETECTED, advance, new_tracklet, score_detection
+from gaptrack.scoring import advance, cold_start, new_tracklet, score_detection
 
 scene = generate(SceneSpec(
     num_objects=4, num_frames=80, width=960.0, height=540.0,
@@ -38,14 +38,13 @@ weights, _ = train(
     TrainSchedule(iterations=400, batch_size=16, learning_rate=3e-3, seed=3),
 )
 
-# two tracklets warmed up on the first 20 frames of objects 1 and 2
-tracklets = []
-for obj in (1, 2):
-    boxes = scene.trajectories[obj]
-    t = new_tracklet(obj, 1, BoundingBox(*boxes[0]), weights)
-    for i in range(1, 20):
-        advance(t, BoundingBox(*boxes[i]), i + 1, scene.geometry, SOURCE_DETECTED, weights)
-    tracklets.append(t)
+# two tracklets warmed up on the first 20 frames of objects 1 and 2,
+# both advanced by one batched model step per frame
+start = cold_start(weights)
+tracklets = [new_tracklet(obj, 1, BoundingBox(*scene.trajectories[obj][0]), start) for obj in (1, 2)]
+for i in range(1, 20):
+    advance(tracklets, [BoundingBox(*scene.trajectories[t.tracklet_id][i]) for t in tracklets],
+            i + 1, scene.geometry, weights)
 
 # frame 21 offers each object's true box plus one clutter detection
 detections = [

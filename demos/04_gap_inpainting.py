@@ -9,8 +9,6 @@ agreeing best with a short lookahead window wins and its boxes fill the gap.
 Run:  python3 demos/04_gap_inpainting.py
 """
 
-import numpy as np
-
 from gaptrack import (
     BoundingBox,
     ModelConfig,
@@ -22,9 +20,9 @@ from gaptrack import (
     train,
 )
 from gaptrack.scoring import (
-    SOURCE_DETECTED,
     InpaintParams,
     advance,
+    cold_start,
     new_tracklet,
     sample_candidates,
 )
@@ -45,9 +43,9 @@ weights, _ = train(
 # has a detection again at frame 24; two more frames serve as lookahead
 obj = 2
 truth = scene.trajectories[obj]
-tracklet = new_tracklet(1, 1, BoundingBox(*truth[0]), weights)
+tracklet = new_tracklet(1, 1, BoundingBox(*truth[0]), cold_start(weights))
 for i in range(1, 20):
-    advance(tracklet, BoundingBox(*truth[i]), i + 1, scene.geometry, SOURCE_DETECTED, weights)
+    advance([tracklet], [BoundingBox(*truth[i])], i + 1, scene.geometry, weights)
 
 gap = 4  # frames 21, 22, 23 missing; frame 24 is the rejoin
 lookahead = [
@@ -56,9 +54,9 @@ lookahead = [
 ]
 
 params = InpaintParams(num_samples=12, t_trs=2, sampling="multinomial")
+# the branches draw from the stream of (params.seed, tracklet 1, frame 24)
 candidates = sample_candidates(
-    tracklet, gap, lookahead, params, weights, book, scene.geometry,
-    np.random.default_rng(0),
+    [tracklet], [gap], lookahead, params, weights, book, scene.geometry, 24,
 )
 
 print(f"sampled       {len(candidates)} branches over a 3-frame gap")

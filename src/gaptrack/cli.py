@@ -33,7 +33,7 @@ from .mot_io import (
 )
 from .geometry import BoundingBox
 from .motion_model import load_weights, save_weights
-from .scoring import SOURCE_DETECTED, advance, new_tracklet, sample_candidates, t_trs_for_frame_rate
+from .scoring import advance, cold_start, new_tracklet, sample_candidates, t_trs_for_frame_rate
 from .synth import generate
 from .tracker import run_sequence
 from .training import TrainingTrack, fit_codebook, next_step_accuracy, train, window_tracks
@@ -203,19 +203,17 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
     if prefix + gap + t_trs > len(boxes):
         raise GaptrackError("prefix + gap + lookahead exceeds the scene length")
 
-    tracklet = new_tracklet(1, 1, BoundingBox(*boxes[0]), weights)
+    tracklet = new_tracklet(1, 1, BoundingBox(*boxes[0]), cold_start(weights))
     for i in range(1, prefix):
-        advance(tracklet, BoundingBox(*boxes[i]), i + 1, scene.geometry, SOURCE_DETECTED, weights)
+        advance([tracklet], [BoundingBox(*boxes[i])], i + 1, scene.geometry, weights)
     current = prefix + gap  # 1-based frame the tracklet tries to rejoin
     by_frame: dict[int, list] = {}
     for det in scene.detections:
         by_frame.setdefault(det.frame, []).append(det.box)
     lookahead = [by_frame.get(current + off, []) for off in range(t_trs + 1)]
 
-    params = cfg.tracker.inpaint
-    rng = np.random.default_rng(params.seed)
     candidates = sample_candidates(
-        tracklet, gap, lookahead, params, weights, book, scene.geometry, rng
+        [tracklet], [gap], lookahead, cfg.tracker.inpaint, weights, book, scene.geometry, current
     )
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)

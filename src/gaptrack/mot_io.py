@@ -71,7 +71,10 @@ def _parse_row(path: str, line_number: int, line: str, min_fields: int) -> list[
 
 
 def _row_int(path: str, line_number: int, value: float, name: str, minimum: float = -math.inf) -> int:
-    """A frame or id column as an int; it must be a finite whole number of at least ``minimum``."""
+    """A whole-number column (frame, id, active flag, class) as an int.
+
+    It must be a finite whole number of at least ``minimum``.
+    """
     if not value.is_integer():
         raise ParseError(path, line_number, f"{name} must be a whole number, got {value:g}")
     if value < minimum:
@@ -123,8 +126,11 @@ def read_ground_truth(
         values = _parse_row(str(path), line_number, line, 6)
         frame = _row_int(str(path), line_number, values[0], "frame index", 1)
         track_id = _row_int(str(path), line_number, values[1], "id")
-        active = bool(int(values[6])) if len(values) > 6 else True
-        class_id = int(values[7]) if len(values) > 7 else 1
+        active, class_id = True, 1
+        if len(values) > 6:
+            active = bool(_row_int(str(path), line_number, values[6], "active flag"))
+        if len(values) > 7:
+            class_id = _row_int(str(path), line_number, values[7], "class")
         visibility = values[8] if len(values) > 8 else 1.0
         if not active:
             continue

@@ -10,7 +10,7 @@ log-likelihoods over a whole tracklet are sums of per-step component terms.
 Implemented directly on numpy arrays so the training module can
 differentiate every operation by hand. Distributions are (..., 4, K) arrays
 and cluster-index quadruples (..., 4) int arrays; :func:`step` is the
-single-row wrapper over the batched :func:`cell_forward`.
+inference step over a batch of states, built on :func:`cell_forward`.
 """
 
 from __future__ import annotations
@@ -185,17 +185,17 @@ def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_pre
     return out
 
 
-def step(weights: ModelWeights, state: RecurrentState, delta: np.ndarray):
-    """Consume one (4,) velocity; return the new state and the (4, K) distribution.
+def step(weights: ModelWeights, hidden: np.ndarray, cell: np.ndarray, deltas: np.ndarray):
+    """Consume one (B, 4) velocity per row of (B, H) states; return ``(hidden, cell, probs)``.
 
-    Raises :class:`NumericOverflowError` if activations leave the finite range.
+    ``probs`` is the (B, 4, K) predictive distribution of each row's next
+    velocity. Raises :class:`NumericOverflowError` if activations leave the
+    finite range.
     """
-    out = cell_forward(weights, delta[None, :], state.hidden[None, :], state.cell[None, :])
-    probs = out["probs"][0]
-    if not (np.all(np.isfinite(out["h"])) and np.all(np.isfinite(probs))):
+    out = cell_forward(weights, deltas, hidden, cell)
+    if not (np.all(np.isfinite(out["h"])) and np.all(np.isfinite(out["probs"]))):
         raise NumericOverflowError("motion model produced non-finite activations")
-    new_state = RecurrentState(hidden=out["h"][0], cell=out["c"][0], steps_consumed=state.steps_consumed + 1)
-    return new_state, probs
+    return out["h"], out["c"], out["probs"]
 
 
 def log_likelihood(dists: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -211,15 +211,21 @@ def log_likelihood(dists: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def sample_batch(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial draws by inverse CDF for (B, C, K) distributions; returns (B, C) int.
+    """Multinomial draws for (B, C, K) distributions; returns (B, C) int.
 
-    Deterministic given the generator state; top-1 decoding is ``np.argmax``
-    over the last axis instead.
+    Draws one (B, C) block of uniforms from ``rng`` and inverts the CDF with
+    :func:`inverse_cdf`. Top-1 decoding is ``np.argmax`` over the last axis
+    instead.
     """
-    b, c, k = probs.shape
+    b, c, _ = probs.shape
+    return inverse_cdf(probs, rng.random((b, c)))
+
+
+def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Category of each (B, C) uniform under its (B, C, K) distribution; returns (B, C) int."""
+    k = probs.shape[2]
     cdf = np.cumsum(probs, axis=2)
-    u = rng.random((b, c))
-    idx = np.sum(cdf < u[:, :, None], axis=2)
+    idx = np.sum(cdf < uniforms[:, :, None], axis=2)
     return np.minimum(idx, k - 1)
 
 

@@ -6,9 +6,14 @@ object earlier get a second chance: sampled continuations bridge the gap,
 and the surviving branch competes for the still-unassigned detections
 (pass 2). Each pass scores all of its tracklet-detection pairs in one
 ``score_detection`` call and gates the resulting cost matrix before the
-assignment. New detections open tentative tracklets that must be matched again
-before they count; confirmed tracklets survive a configurable number of
-missed frames before termination.
+assignment. Pass 2 samples the branches of every gapped tracklet as one
+batch, each tracklet from its own stream keyed by its ID and the frame, and
+skips tracklets that cannot reach any current detection (see
+:mod:`gaptrack.scoring`). Every match of both passes then advances in one
+model step. New detections open tentative tracklets from the shared cold
+start, with no model call, and must be matched again before they count;
+confirmed tracklets survive a configurable number of missed frames before
+termination.
 
 ``process_frame`` is the online step and only reports commits on the current
 frame. ``run_sequence`` replays a whole sequence and assembles the final
@@ -28,7 +33,7 @@ from .assignment import FORBIDDEN, solve
 from .codebook import Codebook
 from .errors import SequencingError
 from .geometry import BoundingBox, FrameGeometry, boxes_to_array
-from .motion_model import ModelWeights
+from .motion_model import ModelWeights, RecurrentState
 from .scoring import (
     SOURCE_DETECTED,
     STATUS_ACTIVE,
@@ -38,6 +43,7 @@ from .scoring import (
     InpaintParams,
     Tracklet,
     advance,
+    cold_start,
     inpaint,
     new_tracklet,
     reattach,
@@ -105,7 +111,7 @@ class TrackerState:
     config: TrackerConfig
     gate: float
     t_trs: int
-    rng: np.random.Generator
+    cold_start: tuple[RecurrentState, np.ndarray]
     tracklets: list[Tracklet] = field(default_factory=list)
     finished: list[Tracklet] = field(default_factory=list)
     next_id: int = 1
@@ -131,7 +137,7 @@ def make_state(
         config=config,
         gate=gate,
         t_trs=t_trs,
-        rng=np.random.default_rng(config.inpaint.seed),
+        cold_start=cold_start(weights),
     )
 
 
@@ -174,7 +180,7 @@ def process_frame(
     det_array = boxes_to_array(boxes)
 
     committed: list[tuple[int, BoundingBox, str]] = []
-    matched_tracklets: set[int] = set()
+    moves: list[tuple[Tracklet, BoundingBox]] = []
     matched_dets: set[int] = set()
 
     # Pass 1: tracklets that were present on the previous frame.
@@ -187,14 +193,13 @@ def process_frame(
         )
         for i, j in solve(_gated(log_lik, state.gate)):
             tracklet = live[i]
-            advance(tracklet, boxes[j], frame_index, state.frame, SOURCE_DETECTED, state.weights)
+            moves.append((tracklet, boxes[j]))
             tracklet.hits += 1
             tracklet.gap_length = 0
             if tracklet.status == STATUS_TENTATIVE and tracklet.hits >= config.birth_confirmation:
                 tracklet.status = STATUS_ACTIVE
             if tracklet.status == STATUS_ACTIVE:
                 committed.append((tracklet.tracklet_id, boxes[j], SOURCE_DETECTED))
-            matched_tracklets.add(id(tracklet))
             matched_dets.add(j)
 
     # Pass 2: gapped tracklets bid for the leftovers through sampled bridges.
@@ -206,15 +211,11 @@ def process_frame(
             *(boxes_to_array(_detection_boxes(f, config.min_detection_confidence))
               for f in future_detections),
         ]
-        bidders = []
-        for tracklet in gapped:
-            gap = frame_index - tracklet.last_frame
-            candidate = inpaint(
-                tracklet, gap, lookahead, config.inpaint,
-                state.weights, state.codebook, state.frame, state.rng,
-            )
-            if candidate is not None:
-                bidders.append((tracklet, candidate))
+        winners = inpaint(
+            gapped, [frame_index - t.last_frame for t in gapped], lookahead, config.inpaint,
+            state.weights, state.codebook, state.frame, frame_index,
+        )
+        bidders = [(t, cand) for t, cand in zip(gapped, winners) if cand is not None]
         if bidders:
             log_lik = score_detection(
                 np.stack([cand.origin for _, cand in bidders]),
@@ -224,13 +225,20 @@ def process_frame(
             for i, j in solve(_gated(log_lik, state.gate)):
                 tracklet, candidate = bidders[i]
                 det = boxes[remaining[j]]
-                reattach(tracklet, candidate, det, frame_index, state.frame, state.weights)
+                reattach(tracklet, candidate)
+                moves.append((tracklet, det))
                 tracklet.status = STATUS_ACTIVE
                 tracklet.hits += 1
                 tracklet.gap_length = 0
                 committed.append((tracklet.tracklet_id, det, SOURCE_DETECTED))
-                matched_tracklets.add(id(tracklet))
                 matched_dets.add(remaining[j])
+
+    # Every match of both passes consumes its detection in one model step.
+    # Rows go in tracklet-ID order, so the batch layout does not depend on
+    # which pass matched whom.
+    moves.sort(key=lambda move: move[0].tracklet_id)
+    advance([t for t, _ in moves], [box for _, box in moves], frame_index, state.frame, state.weights)
+    matched_tracklets = {id(t) for t, _ in moves}
 
     # Lifecycle for everyone who went unmatched.
     survivors = []
@@ -260,7 +268,7 @@ def process_frame(
     for j in range(len(boxes)):
         if j in matched_dets:
             continue
-        tracklet = new_tracklet(state.next_id, frame_index, boxes[j], state.weights)
+        tracklet = new_tracklet(state.next_id, frame_index, boxes[j], state.cold_start)
         state.next_id += 1
         if config.birth_confirmation <= 1:
             tracklet.status = STATUS_ACTIVE

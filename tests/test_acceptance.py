@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from gaptrack import (
     fit,
     fit_codebook,
     generate,
+    cold_start,
     init_weights,
     log_likelihood,
     new_tracklet,
@@ -42,7 +44,7 @@ from gaptrack import (
     velocities_from_boxes,
 )
 from gaptrack.cli import main
-from gaptrack.scoring import SOURCE_DETECTED, InpaintParams, advance, inpaint
+from gaptrack.scoring import InpaintParams, advance, inpaint
 from gaptrack.synth import MOTION_SINUSOIDAL
 from gaptrack.geometry import box_iou
 from gaptrack.tracker import run_sequence
@@ -196,19 +198,21 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
     multi_params = InpaintParams(num_samples=30, t_trs=t_trs, sampling="multinomial")
     top1_params = InpaintParams(num_samples=30, t_trs=t_trs, sampling="top1")
 
-    def bridge_iou(scene, noisy, obj, t_last, params, rng):
+    start = cold_start(weights)
+
+    def bridge_iou(scene, noisy, obj, t_last, params):
         truth = scene.trajectories[obj]
         prefix = noisy[obj]
-        tracklet = new_tracklet(1, 1, BoundingBox(*prefix[0]), weights)
+        tracklet = new_tracklet(obj, 1, BoundingBox(*prefix[0]), start)
         for t in range(1, t_last + 1):
-            advance(tracklet, BoundingBox(*prefix[t]), t + 1, scene.geometry,
-                    SOURCE_DETECTED, weights)
+            advance([tracklet], [BoundingBox(*prefix[t])], t + 1, scene.geometry, weights)
         lookahead = [
             [BoundingBox(*noisy[o][f]) for o in noisy if f < len(noisy[o])]
             for f in range(t_last + gap, t_last + gap + t_trs + 1)
         ]
-        winner = inpaint(tracklet, gap, lookahead, params, weights, book,
-                         scene.geometry, rng)
+        # the bridge draws from the stream of (params.seed, obj, rejoin frame)
+        [winner] = inpaint([tracklet], [gap], lookahead, params, weights, book,
+                           scene.geometry, t_last + 1 + gap)
         if winner is None:
             return 0.0
         return float(np.mean([
@@ -227,12 +231,12 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
             obj: boxes + noise_rng.normal(0.0, 3.0, size=boxes.shape)
             for obj, boxes in scene.trajectories.items()
         }
-        rng_m = np.random.default_rng(42 + s)
-        rng_g = np.random.default_rng(42 + s)
+        seeded_multi = replace(multi_params, seed=42 + s)
+        seeded_top1 = replace(top1_params, seed=42 + s)
         for obj in scene.trajectories:
             for t_last in (60, 150, 240):
-                multi.append(bridge_iou(scene, noisy, obj, t_last, multi_params, rng_m))
-                top1.append(bridge_iou(scene, noisy, obj, t_last, top1_params, rng_g))
+                multi.append(bridge_iou(scene, noisy, obj, t_last, seeded_multi))
+                top1.append(bridge_iou(scene, noisy, obj, t_last, seeded_top1))
 
     multi = np.array(multi).reshape(10, -1)
     top1 = np.array(top1).reshape(10, -1)
@@ -260,7 +264,7 @@ def test_a5_uniform_model_log_likelihood():
         weights = init_weights(ModelConfig(num_clusters=k, hidden_dim=4), rng)
         for name in weights.PARAM_NAMES:
             getattr(weights, name)[:] = 0.0
-        tracklet = new_tracklet(1, 1, BoundingBox(10.0, 10.0, 20.0, 20.0), weights)
+        tracklet = new_tracklet(1, 1, BoundingBox(10.0, 10.0, 20.0, 20.0), cold_start(weights))
         book = Codebook(centroids=np.tile(np.linspace(-0.1, 0.1, k), (4, 1)), k=k)
         got = score_detection(
             tracklet.last_box.box.as_array()[None], tracklet.dist[None],

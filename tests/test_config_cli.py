@@ -314,3 +314,16 @@ def test_evaluate_rejects_a_nan_frame_with_an_error_line(tmp_path, capsys):
     rc = main(["evaluate", "--gt", str(gt), "--results", str(results)])
     assert rc == 1
     assert f"error: {results}:1: frame index must be a whole number, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,1,0,0,20,40,0.5,1,1.0", "active flag must be a whole number, got 0.5"),
+    ("1,1,0,0,20,40,1,nan,1.0", "class must be a whole number, got nan"),
+])
+def test_evaluate_rejects_a_malformed_gt_column_with_an_error_line(tmp_path, capsys, row, message):
+    gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+    gt.write_text(row + "\n")
+    write_ground_truth(results, [(1, 7, BoundingBox(0.0, 0.0, 20.0, 40.0))])
+    rc = main(["evaluate", "--gt", str(gt), "--results", str(results)])
+    assert rc == 1
+    assert f"error: {gt}:1: {message}" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Gap bridging: branch sampling, rejection, winner selection, reattachment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,25 @@ from gaptrack import (
     ModelWeights,
     SequencingError,
     advance,
+    apply_velocity,
     box_iou,
+    cold_start,
+    decode,
     inpaint,
     new_tracklet,
     sample_candidates,
     score_detection,
     reattach,
 )
+from gaptrack.motion_model import inverse_cdf
 from gaptrack.scoring import (
+    REACH_TOLERANCE,
     SAMPLING_MULTINOMIAL,
     SAMPLING_TOP1,
     SOURCE_DETECTED,
     SOURCE_INPAINTED,
+    branch_uniforms,
+    reachable_extent,
     t_trs_for_frame_rate,
 )
 
@@ -61,9 +70,9 @@ def object_boxes(scene, obj_id):
 
 def grown_tracklet(scene, weights, obj_id, upto):
     boxes = object_boxes(scene, obj_id)
-    t = new_tracklet(obj_id, 1, boxes[0], weights)
+    t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        t = advance(t, boxes[frame_index - 1], frame_index, scene.geometry, SOURCE_DETECTED, weights)
+        advance([t], [boxes[frame_index - 1]], frame_index, scene.geometry, weights)
     return t
 
 
@@ -83,6 +92,22 @@ def gap_setup(scene, weights, obj_id=1, last_seen=20, gap=3, extra=2):
     return t, current, lookahead
 
 
+def assert_same_candidate(a, b):
+    """Bit-identical candidates (or both None)."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert (a.tracklet_id, a.branch_index, a.gap) == (b.tracklet_id, b.branch_index, b.gap)
+    assert (a.rejected, a.rejection_reason) == (b.rejected, b.rejection_reason)
+    assert a.sample_log_likelihood == b.sample_log_likelihood
+    assert a.iou_score == b.iou_score
+    for x, y in ((a.path, b.path), (a.origin, b.origin), (a.dist_at_scoring, b.dist_at_scoring),
+                 (a.state_at_scoring.hidden, b.state_at_scoring.hidden),
+                 (a.state_at_scoring.cell, b.state_at_scoring.cell)):
+        assert np.array_equal(x, y)
+    assert a.state_at_scoring.steps_consumed == b.state_at_scoring.steps_consumed
+
+
 def test_lookahead_window_grows_with_frame_rate():
     assert t_trs_for_frame_rate(30.0) == 3
     assert t_trs_for_frame_rate(25.0) == 3  # 25 fps counts as high frame rate
@@ -92,62 +117,58 @@ def test_lookahead_window_grows_with_frame_rate():
 
 def test_gap_must_be_positive(tiny_model, clean_scene):
     weights, book = tiny_model
-    t, _, lookahead = gap_setup(clean_scene, weights)
+    t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=4)
-    rng = np.random.default_rng(0)
+    geometry = clean_scene.geometry
     with pytest.raises(SequencingError):
-        sample_candidates(t, 0, lookahead, params, weights, book, clean_scene.geometry, rng)
+        sample_candidates([t], [0], lookahead, params, weights, book, geometry, current)
     with pytest.raises(ValueError):
-        sample_candidates(t, 2, [], params, weights, book, clean_scene.geometry, rng)
+        sample_candidates([t], [2], [], params, weights, book, geometry, current)
+    with pytest.raises(ValueError):
+        sample_candidates([t], [2, 3], lookahead, params, weights, book, geometry, current)
+    with pytest.raises(ValueError, match="distinct"):
+        sample_candidates([t, t], [3, 3], lookahead, params, weights, book, geometry, current)
 
 
 def test_zero_samples_yields_no_candidates(tiny_model, clean_scene):
     weights, book = tiny_model
-    t, _, lookahead = gap_setup(clean_scene, weights)
+    t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=0)
-    got = sample_candidates(t, 3, lookahead, params, weights, book, clean_scene.geometry,
-                            np.random.default_rng(0))
+    got = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
     assert got == []
-    assert inpaint(t, 3, lookahead, params, weights, book, clean_scene.geometry,
-                   np.random.default_rng(0)) is None
+    assert inpaint([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
+    assert inpaint([], [], lookahead, InpaintParams(), weights, book, clean_scene.geometry, current) == []
 
 
 def test_top1_sampling_uses_a_single_branch(tiny_model, clean_scene):
     weights, book = tiny_model
-    t, _, lookahead = gap_setup(clean_scene, weights)
+    t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=30, sampling=SAMPLING_TOP1)
-    got = sample_candidates(t, 3, lookahead, params, weights, book, clean_scene.geometry,
-                            np.random.default_rng(0))
+    got = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
     assert len(got) == 1
     assert got[0].branch_index == 0
+    assert got[0].tracklet_id == t.tracklet_id
 
 
 def test_branch_count_and_determinism(tiny_model, clean_scene):
     weights, book = tiny_model
-    t, _, lookahead = gap_setup(clean_scene, weights)
-    params = InpaintParams(num_samples=12, sampling=SAMPLING_MULTINOMIAL)
+    t, current, lookahead = gap_setup(clean_scene, weights)
+    params = InpaintParams(num_samples=12, sampling=SAMPLING_MULTINOMIAL, seed=5)
 
-    first = sample_candidates(t, 3, lookahead, params, weights, book, clean_scene.geometry,
-                              np.random.default_rng(5))
-    second = sample_candidates(t, 3, lookahead, params, weights, book, clean_scene.geometry,
-                               np.random.default_rng(5))
+    first = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
+    second = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
     assert len(first) == 12
+    assert [c.branch_index for c in first] == list(range(12))
     for a, b in zip(first, second):
-        assert a.branch_index == b.branch_index
-        assert a.rejected == b.rejected
-        assert a.sample_log_likelihood == b.sample_log_likelihood
-        assert a.iou_score == b.iou_score
-        for box_a, box_b in zip(a.boxes, b.boxes):
-            assert box_a == box_b
+        assert_same_candidate(a, b)
 
 
 def test_surviving_branches_carry_full_paths(tiny_model, clean_scene):
     weights, book = tiny_model
     gap, extra = 3, 2
     t, current, lookahead = gap_setup(clean_scene, weights, gap=gap, extra=extra)
-    params = InpaintParams(num_samples=20, iou_threshold=0.3)
-    got = sample_candidates(t, gap, lookahead, params, weights, book, clean_scene.geometry,
-                            np.random.default_rng(1))
+    params = InpaintParams(num_samples=20, iou_threshold=0.3, seed=1)
+    got = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
     survivors = [c for c in got if not c.rejected]
     assert survivors, "sampler found no overlap on a clean constant-velocity gap"
     for cand in survivors:
@@ -161,23 +182,27 @@ def test_surviving_branches_carry_full_paths(tiny_model, clean_scene):
 def test_all_branches_reject_when_nothing_overlaps(tiny_model, clean_scene):
     weights, book = tiny_model
     t, _, _ = gap_setup(clean_scene, weights)
-    far = [[BoundingBox(900.0, 500.0, 20.0, 20.0)]]
-    params = InpaintParams(num_samples=10, iou_threshold=0.5)
-    got = sample_candidates(t, 2, far, params, weights, book, clean_scene.geometry,
-                            np.random.default_rng(2))
-    assert all(c.rejected for c in got)
+    geometry = clean_scene.geometry
+    params = InpaintParams(num_samples=10, iou_threshold=0.5, seed=2)
+    # a speck inside the reachable extent overlaps every branch too little
+    last = t.last_box.box
+    speck = [[BoundingBox(last.x + 0.5 * last.w, last.y + 0.5 * last.h, 1.0, 1.0)]]
+    got = sample_candidates([t], [2], speck, params, weights, book, geometry, 22)
+    assert len(got) == 10
     assert {c.rejection_reason for c in got} == {"no overlap at current frame"}
-    assert inpaint(t, 2, far, params, weights, book, clean_scene.geometry,
-                   np.random.default_rng(2)) is None
+    assert inpaint([t], [2], speck, params, weights, book, geometry, 22) == [None]
+    # a detection beyond the reachable extent is not even sampled for
+    far = [[BoundingBox(900.0, 500.0, 20.0, 20.0)]]
+    assert sample_candidates([t], [2], far, params, weights, book, geometry, 22) == []
+    assert inpaint([t], [2], far, params, weights, book, geometry, 22) == [None]
 
 
 def test_winner_bridges_toward_truth(tiny_model, clean_scene):
     weights, book = tiny_model
     gap = 3
     t, current, lookahead = gap_setup(clean_scene, weights, obj_id=2, gap=gap)
-    params = InpaintParams(num_samples=30, iou_threshold=0.3)
-    best = inpaint(t, gap, lookahead, params, weights, book, clean_scene.geometry,
-                   np.random.default_rng(3))
+    params = InpaintParams(num_samples=30, iou_threshold=0.3, seed=3)
+    [best] = inpaint([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
     assert best is not None and not best.rejected
     truth = object_boxes(clean_scene, 2)
     # sampled gap boxes track the missing ground truth
@@ -185,8 +210,8 @@ def test_winner_bridges_toward_truth(tiny_model, clean_scene):
         frame = t.last_frame + 1 + offset
         assert box_iou(best.path[offset], truth[frame - 1].as_array()) > 0.5
     # selection maximizes summed lookahead overlap, then likelihood
-    others = sample_candidates(t, gap, lookahead, params, weights, book, clean_scene.geometry,
-                               np.random.default_rng(3))
+    others = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry,
+                               current)
     for cand in others:
         if not cand.rejected:
             assert (best.iou_score, best.sample_log_likelihood) >= (
@@ -205,12 +230,11 @@ def test_one_hot_model_reproduces_true_path_exactly():
         [0.0, 0.01],   # dh: 0 favored
     ]), k=2)
     weights = programmed_weights(book, favored=[1, 1, 0, 0])
-    t = new_tracklet(1, 10, BoundingBox(100.0, 100.0, 50.0, 50.0), weights)
+    t = new_tracklet(1, 10, BoundingBox(100.0, 100.0, 50.0, 50.0), cold_start(weights))
     true_path = [BoundingBox(100.0 + 10.0 * i, 100.0 + 5.0 * i, 50.0, 50.0) for i in (1, 2, 3)]
     lookahead = [[b] for b in true_path]
 
-    best = inpaint(t, 1, lookahead, InpaintParams(num_samples=5), weights, book, geometry,
-                   np.random.default_rng(0))
+    [best] = inpaint([t], [1], lookahead, InpaintParams(num_samples=5), weights, book, geometry, 11)
     assert best is not None
     assert best.iou_score == pytest.approx(3.0)  # t_trs + 1 with t_trs = 2
     for got, want in zip(best.boxes, true_path):
@@ -230,16 +254,15 @@ def test_aligned_branch_beats_counter_moving_branch():
         [-0.01, 0.0],
     ]), k=2)
     weights = programmed_weights(book, favored=[(0, 1), 1, 1, 1])
-    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), weights)
+    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), cold_start(weights))
     np.testing.assert_allclose(t.dist[0], [0.5, 0.5], atol=1e-9)
 
     true_dets = [BoundingBox(500.0 + 10.0 * i, 500.0, 100.0, 100.0) for i in (1, 2, 3)]
     false_det = BoundingBox(490.0, 500.0, 100.0, 100.0)
     lookahead = [[d, false_det] for d in true_dets]
-    params = InpaintParams(num_samples=16)
+    params = InpaintParams(num_samples=16, seed=3)
 
-    cands = sample_candidates(t, 1, lookahead, params, weights, book, geometry,
-                              np.random.default_rng(0))
+    cands = sample_candidates([t], [1], lookahead, params, weights, book, geometry, 11)
     patterns = set()
     for cand in cands:
         if not cand.rejected:
@@ -250,7 +273,7 @@ def test_aligned_branch_beats_counter_moving_branch():
                 patterns.add("left")
     assert patterns == {"right", "left"}, "seed must produce both branch kinds"
 
-    best = inpaint(t, 1, lookahead, params, weights, book, geometry, np.random.default_rng(0))
+    [best] = inpaint([t], [1], lookahead, params, weights, book, geometry, 11)
     assert [b.x for b in best.boxes] == [510.0, 520.0, 530.0]
     assert best.iou_score == pytest.approx(3.0)
 
@@ -260,9 +283,8 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     gap = 3
     t, current, lookahead = gap_setup(clean_scene, weights, obj_id=3, gap=gap)
     truth = object_boxes(clean_scene, 3)
-    params = InpaintParams(num_samples=30, iou_threshold=0.3)
-    best = inpaint(t, gap, lookahead, params, weights, book, clean_scene.geometry,
-                   np.random.default_rng(4))
+    params = InpaintParams(num_samples=30, iou_threshold=0.3, seed=4)
+    [best] = inpaint([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
     assert best is not None
 
     detection = truth[current - 1]
@@ -270,34 +292,46 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
                          clean_scene.geometry, book)
     assert ll.shape == (1, 1) and np.isfinite(ll[0, 0])
 
+    other = grown_tracklet(clean_scene, weights, obj_id=4, upto=2)
+    with pytest.raises(ValueError):
+        reattach(other, best)
+
     frames_before = len(t.boxes)
-    t = reattach(t, best, detection, current, clean_scene.geometry, weights)
-    assert len(t.boxes) == frames_before + gap
+    t = reattach(t, best)
+    # the tracklet now stands one frame before the current one, in the
+    # candidate's scoring state
+    assert len(t.boxes) == frames_before + gap - 1
+    assert t.last_frame == current - 1
+    assert t.state is best.state_at_scoring and t.dist is best.dist_at_scoring
+    advance([t], [detection], current, clean_scene.geometry, weights)
     tail = t.boxes[-gap:]
     assert [tb.frame for tb in tail] == list(range(current - gap + 1, current + 1))
     assert [tb.source for tb in tail] == [SOURCE_INPAINTED] * (gap - 1) + [SOURCE_DETECTED]
     assert tail[-1].box == detection
+    assert t.state.steps_consumed == best.state_at_scoring.steps_consumed + 1
     # frames stay contiguous across the whole history
     frames = [tb.frame for tb in t.boxes]
     assert frames == list(range(frames[0], frames[0] + len(frames)))
 
 
-def per_branch_fate(cand, gap, total_steps, current_dets, threshold):
+def per_branch_fate(cand, total_steps, current_dets, threshold):
     """Reference rejection rule, one branch at a time: degenerate if the path
     stops short, else no overlap if its current-frame box's best IOU against
     the current detections falls under the threshold."""
     if len(cand.path) < total_steps:
         return "degenerate box"
-    box = cand.path[gap - 1]
+    box = cand.path[cand.gap - 1]
     best = max((float(box_iou(box, d.as_array())) for d in current_dets), default=0.0)
     return "no overlap at current frame" if best < threshold else ""
 
 
-def check_candidates(cands, tracklet, gap, lookahead, threshold):
-    total_steps = gap + len(lookahead) - 1
+def check_candidates(cands, tracklets, lookahead, threshold):
+    by_id = {t.tracklet_id: t for t in tracklets}
     fates = []
     for cand in cands:
-        fate = per_branch_fate(cand, gap, total_steps, lookahead[0], threshold)
+        tracklet = by_id[cand.tracklet_id]
+        gap = cand.gap
+        fate = per_branch_fate(cand, gap + len(lookahead) - 1, lookahead[0], threshold)
         assert cand.rejection_reason == fate
         assert cand.rejected == (fate != "")
         # the box views are the path rows and the scoring origin
@@ -317,12 +351,35 @@ def test_rejections_match_per_branch_overlap_rule(tiny_model, clean_scene):
     weights, book = tiny_model
     seen = set()
     for gap, threshold, seed in ((1, 0.5, 0), (3, 0.5, 1), (3, 0.7, 2), (4, 0.3, 3), (2, 0.9, 4)):
-        t, _, lookahead = gap_setup(clean_scene, weights, obj_id=1 + seed, gap=gap)
-        params = InpaintParams(num_samples=30, iou_threshold=threshold)
-        cands = sample_candidates(t, gap, lookahead, params, weights, book, clean_scene.geometry,
-                                  np.random.default_rng(seed))
-        seen.update(check_candidates(cands, t, gap, lookahead, threshold))
+        t, current, lookahead = gap_setup(clean_scene, weights, obj_id=1 + seed, gap=gap)
+        params = InpaintParams(num_samples=30, iou_threshold=threshold, seed=seed)
+        cands = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry,
+                                  current)
+        seen.update(check_candidates(cands, [t], lookahead, threshold))
     assert seen == {"", "no overlap at current frame"}
+
+
+def test_one_batch_applies_each_tracklets_own_gap(tiny_model, clean_scene):
+    # Tracklets with different gaps share one batch; each row keeps its own
+    # step count, scoring snapshot and rejection rule.
+    weights, book = tiny_model
+    current = 30
+    gaps = [1, 4, 2, 4, 3]
+    tracklets = [grown_tracklet(clean_scene, weights, obj, current - g)
+                 for obj, g in zip((1, 2, 3, 4, 5), gaps)]
+    lookahead = [[object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories]
+                 for f in range(3)]
+    params = InpaintParams(num_samples=8, iou_threshold=0.5, seed=9)
+    cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book,
+                              clean_scene.geometry, current)
+    # canonical layout: gap descending, then tracklet ID; branches in order
+    want = sorted(zip(gaps, (t.tracklet_id for t in tracklets)), key=lambda p: (-p[0], p[1]))
+    assert [(c.gap, c.tracklet_id, c.branch_index) for c in cands] == [
+        (g, tid, b) for g, tid in want for b in range(8)]
+    by_id = {t.tracklet_id: t for t in tracklets}
+    for c in cands:
+        assert c.state_at_scoring.steps_consumed == by_id[c.tracklet_id].state.steps_consumed + c.gap - 1
+    assert "" in check_candidates(cands, tracklets, lookahead, 0.5)
 
 
 def test_rejections_cover_degenerate_and_empty_frames():
@@ -337,18 +394,166 @@ def test_rejections_cover_degenerate_and_empty_frames():
         [0.0, 0.01],
     ]), k=2)
     weights = programmed_weights(book, favored=[(0, 1), 0, (0, 1), 0])
-    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), weights)
-    params = InpaintParams(num_samples=24, iou_threshold=0.7)
+    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), cold_start(weights))
+    params = InpaintParams(num_samples=24, iou_threshold=0.7, seed=3)
     dets = [BoundingBox(510.0 + 10.0 * i, 500.0, 100.0, 100.0) for i in range(3)]
     lookahead = [[d] for d in dets]
     for gap in (1, 2):
-        cands = sample_candidates(t, gap, lookahead, params, weights, book, geometry,
-                                  np.random.default_rng(gap))
-        fates = check_candidates(cands, t, gap, lookahead, 0.7)
+        cands = sample_candidates([t], [gap], lookahead, params, weights, book, geometry, 10 + gap)
+        fates = check_candidates(cands, [t], lookahead, 0.7)
         assert "degenerate box" in fates and "" in fates
 
-    # a current frame with no detections rejects every surviving branch
-    cands = sample_candidates(t, 1, [[], dets[1:]], params, weights, book, geometry,
-                              np.random.default_rng(0))
-    fates = check_candidates(cands, t, 1, [[], dets[1:]], 0.7)
-    assert set(fates) == {"degenerate box", "no overlap at current frame"}
+    # a current frame with no detections leaves nothing to reach: every
+    # branch would be rejected, so none is sampled
+    assert sample_candidates([t], [1], [[], dets[1:]], params, weights, book, geometry, 11) == []
+    # without an overlap threshold nothing is pruned or rejected for overlap
+    cands = sample_candidates([t], [1], [[], dets[1:]], replace(params, iou_threshold=0.0),
+                              weights, book, geometry, 11)
+    assert set(check_candidates(cands, [t], [[], dets[1:]], 0.0)) == {"degenerate box", ""}
+
+
+def test_reachable_extent_holds_every_sampled_branch(tiny_model, clean_scene):
+    # Random tracklets, gaps and frames: each branch that reaches the current
+    # frame lies inside its tracklet's reachable rectangle there.
+    weights, book = tiny_model
+    geometry = clean_scene.geometry
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(5):
+        current = int(rng.integers(12, 70))
+        objs = [int(o) for o in rng.choice(list(clean_scene.trajectories), size=4, replace=False)]
+        gaps = [int(g) for g in rng.integers(1, 8, size=4)]
+        tracklets = [grown_tracklet(clean_scene, weights, o, current - g) for o, g in zip(objs, gaps)]
+        # shift some tracklets off their objects so branches wander widely
+        for t in tracklets[::2]:
+            box = t.last_box.box
+            t.boxes[-1] = t.boxes[-1]._replace(box=BoundingBox(
+                box.x + rng.uniform(-80, 80), box.y + rng.uniform(-80, 80), box.w, box.h))
+        lookahead = [[d.box for d in clean_scene.detections if d.frame == current]]
+        params = InpaintParams(num_samples=25, iou_threshold=0.0, seed=trial)
+        cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+        extent = reachable_extent(np.stack([t.last_box.box.as_array() for t in tracklets]),
+                                  np.array(gaps), book, geometry)
+        row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
+        for cand in cands:
+            if len(cand.path) < cand.gap:
+                continue
+            x1, y1, x2, y2 = extent[row[cand.tracklet_id]]
+            x, y, w, h = cand.path[cand.gap - 1]
+            assert x >= x1 - REACH_TOLERANCE and y >= y1 - REACH_TOLERANCE
+            assert x + w <= x2 + REACH_TOLERANCE and y + h <= y2 + REACH_TOLERANCE
+            checked += 1
+    assert checked > 300
+
+
+def test_reachable_extent_is_attained_by_extreme_branches():
+    # A model that only ever samples the extreme centroids: over enough
+    # branches, each side of the rectangle is reached, so it is the tightest
+    # bound and not merely a bound.
+    geometry = FrameGeometry(1000.0, 800.0)
+    book = Codebook(centroids=np.array([
+        [-0.02, 0.0, 0.01],
+        [-0.01, 0.0, 0.03],
+        [-0.005, 0.0, 0.004],
+        [-0.002, 0.0, 0.006],
+    ]), k=3)
+    weights = programmed_weights(book, favored=[(0, 2)] * 4)
+    start = cold_start(weights)
+    tracklets = [new_tracklet(1, 8, BoundingBox(400.0, 300.0, 50.0, 60.0), start),
+                 new_tracklet(2, 7, BoundingBox(100.0, 500.0, 30.0, 20.0), start)]
+    gaps = [2, 3]
+    params = InpaintParams(num_samples=200, iou_threshold=0.0, seed=12)
+    cands = sample_candidates(tracklets, gaps, [[]], params, weights, book, geometry, 10)
+    extent = reachable_extent(np.stack([t.last_box.box.as_array() for t in tracklets]),
+                              np.array(gaps), book, geometry)
+    for i, t in enumerate(tracklets):
+        at = np.stack([c.path[c.gap - 1] for c in cands if c.tracklet_id == t.tracklet_id])
+        edges = np.array([at[:, 0].min(), at[:, 1].min(),
+                          (at[:, 0] + at[:, 2]).max(), (at[:, 1] + at[:, 3]).max()])
+        np.testing.assert_allclose(edges, extent[i], rtol=0.0, atol=1e-9)
+
+
+def test_unreachable_tracklet_is_skipped_and_moves_no_other(tiny_model, clean_scene):
+    weights, book = tiny_model
+    geometry = clean_scene.geometry
+    current = 40
+    gaps = [2, 3, 1]
+    tracklets = [grown_tracklet(clean_scene, weights, obj, current - g) for obj, g in zip((1, 2, 3), gaps)]
+    lookahead = [[d.box for d in clean_scene.detections if d.frame == current + f] for f in range(3)]
+    # a tracklet whose reachable rectangle misses every current detection
+    far = new_tracklet(99, current - 2, BoundingBox(2.0, 2.0, 6.0, 6.0), cold_start(weights))
+    x1, y1, x2, y2 = reachable_extent(far.last_box.box.as_array()[None], np.array([2]), book, geometry)[0]
+    for d in lookahead[0]:
+        assert min(x2, d.x + d.w) <= max(x1, d.x) or min(y2, d.y + d.h) <= max(y1, d.y)
+
+    params = InpaintParams(num_samples=15, iou_threshold=0.5, seed=6)
+    with_far = inpaint(tracklets + [far], gaps + [2], lookahead, params, weights, book, geometry, current)
+    without = inpaint(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+    assert with_far[-1] is None
+    assert any(w is not None for w in without)
+    for a, b in zip(with_far[:-1], without):
+        assert_same_candidate(a, b)
+    cands = sample_candidates([far] + tracklets, [2] + gaps, lookahead, params, weights, book,
+                              geometry, current)
+    assert 99 not in {c.tracklet_id for c in cands}
+    assert len(cands) == 15 * len(tracklets)
+
+
+def test_winners_do_not_depend_on_tracklet_order(tiny_model, clean_scene):
+    weights, book = tiny_model
+    geometry = clean_scene.geometry
+    current = 33
+    gaps = [3, 1, 2, 3, 4, 1]
+    tracklets = [grown_tracklet(clean_scene, weights, obj, current - g)
+                 for obj, g in zip((1, 2, 3, 4, 5, 6), gaps)]
+    lookahead = [[d.box for d in clean_scene.detections if d.frame == current + f] for f in range(3)]
+    params = InpaintParams(num_samples=12, iou_threshold=0.3, seed=8)
+    base = inpaint(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+    assert sum(w is not None for w in base) >= 3
+    rng = np.random.default_rng(1)
+    for perm in ([5, 4, 3, 2, 1, 0], *(rng.permutation(6) for _ in range(3))):
+        got = inpaint([tracklets[i] for i in perm], [gaps[i] for i in perm], lookahead, params,
+                      weights, book, geometry, current)
+        for i, winner in zip(perm, got):
+            assert_same_candidate(winner, base[i])
+
+
+def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
+    # The programmed model's distribution ignores its inputs bit for bit, so
+    # each sampled path can be replayed from the tracklet's own uniforms.
+    geometry = FrameGeometry(1000.0, 1000.0)
+    book = Codebook(centroids=np.array([
+        [-0.01, 0.0, 0.01],
+        [-0.01, 0.0, 0.01],
+        [-0.001, 0.0, 0.001],
+        [-0.001, 0.0, 0.001],
+    ]), k=3)
+    weights = programmed_weights(book, favored=[(0, 1, 2), (0, 2), 1, 1])
+    start = cold_start(weights)
+    box = BoundingBox(400.0, 400.0, 60.0, 60.0)
+    params = InpaintParams(num_samples=7, iou_threshold=0.0, seed=13)
+    lookahead = [[box]] * 3
+    current, gap, steps = 20, 3, 5
+
+    def paths(tracklet_id, others):
+        tracklets = [new_tracklet(tracklet_id, current - gap, box, start)]
+        tracklets += [new_tracklet(o, current - g, box, start) for o, g in others]
+        gaps = [gap] + [g for _, g in others]
+        cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+        return np.stack([c.path for c in cands if c.tracklet_id == tracklet_id])
+
+    u = branch_uniforms(params.seed, 5, current, steps, params.num_samples)
+    seq = np.random.SeedSequence(params.seed, spawn_key=(5, current))
+    assert np.array_equal(u, np.random.default_rng(seq).random((steps, params.num_samples, 4)))
+    want = np.zeros((params.num_samples, steps, 4))
+    last = np.tile(box.as_array(), (params.num_samples, 1))
+    dist = np.broadcast_to(start[1], (params.num_samples, 4, book.k))
+    for s in range(steps):
+        last = apply_velocity(last, decode(inverse_cdf(dist, u[s]), book), geometry)
+        want[:, s] = last
+
+    alone = paths(5, [])
+    assert np.array_equal(alone, want)
+    assert np.array_equal(paths(5, [(2, 4), (9, 1), (7, 3)]), want)
+    assert np.array_equal(paths(5, [(7, 3), (2, 4)]), want)
+    assert not np.array_equal(paths(6, []), want)

@@ -148,6 +148,23 @@ def test_ground_truth_filters(tmp_path):
     assert [g.track_id for g in everything] == [1, 3, 4]
 
 
+def test_ground_truth_rejects_a_fractional_active_flag(tmp_path):
+    # truncating 0.5 to 0 would drop the row without a word
+    path = tmp_path / "gt.txt"
+    path.write_text("1,1,10,10,5,5,1,1,1.0\n1,2,20,20,5,5,0.5,1,1.0\n")
+    with pytest.raises(ParseError, match="active flag must be a whole number, got 0.5") as info:
+        read_ground_truth(path)
+    assert info.value.line_number == 2
+
+
+def test_ground_truth_rejects_a_nan_class(tmp_path):
+    path = tmp_path / "gt.txt"
+    path.write_text("1,1,10,10,5,5,1,nan,1.0\n")
+    with pytest.raises(ParseError, match="class must be a whole number, got nan") as info:
+        read_ground_truth(path)
+    assert info.value.line_number == 1
+
+
 def test_seqinfo_round_trip(tmp_path):
     meta = SequenceMeta(name="seq-01", frame_rate=14.0, length=750, width=1920.0, height=1080.0)
     path = tmp_path / "seqinfo.ini"

@@ -20,7 +20,13 @@ from gaptrack import (
     save_weights,
     step,
 )
-from gaptrack.motion_model import PROB_FLOOR, sample_batch
+from gaptrack.motion_model import PROB_FLOOR, inverse_cdf, sample_batch
+
+
+def step_one(weights, hidden, cell, delta):
+    """One step of a single (H,) state on a (4,) velocity, through the batched step."""
+    h, c, probs = step(weights, hidden[None], cell[None], np.asarray(delta, dtype=float)[None])
+    return h[0], c[0], probs[0]
 
 
 def scalar_model():
@@ -51,12 +57,11 @@ def test_forward_pass_by_hand():
     state = init_state(weights)
 
     # Step 1: e = relu(0.3) = 0.3, all sigmoid gates 0.5, g = tanh(0.3).
-    state, dist = step(weights, state, np.array([0.3, 0.0, 0.0, 0.0]))
+    hidden, cell, dist = step_one(weights, state.hidden, state.cell, [0.3, 0.0, 0.0, 0.0])
     c1 = 0.5 * math.tanh(0.3)
     h1 = 0.5 * math.tanh(c1)
-    assert state.cell[0] == pytest.approx(c1, abs=1e-12)
-    assert state.hidden[0] == pytest.approx(h1, abs=1e-12)
-    assert state.steps_consumed == 1
+    assert cell[0] == pytest.approx(c1, abs=1e-12)
+    assert hidden[0] == pytest.approx(h1, abs=1e-12)
 
     # logits (h1, -h1) per component: p0 = sigmoid(2 h1).
     p0 = 1.0 / (1.0 + math.exp(-2.0 * h1))
@@ -66,13 +71,12 @@ def test_forward_pass_by_hand():
 
     # Step 2: negative dx is cut by the relu, so only the recurrent term
     # feeds the candidate gate.
-    state, dist = step(weights, state, np.array([-0.2, 0.0, 0.0, 0.0]))
+    hidden, cell, dist = step_one(weights, hidden, cell, [-0.2, 0.0, 0.0, 0.0])
     g2 = math.tanh(0.5 * h1)
     c2 = 0.5 * c1 + 0.5 * g2
     h2 = 0.5 * math.tanh(c2)
-    assert state.cell[0] == pytest.approx(c2, abs=1e-12)
-    assert state.hidden[0] == pytest.approx(h2, abs=1e-12)
-    assert state.steps_consumed == 2
+    assert cell[0] == pytest.approx(c2, abs=1e-12)
+    assert hidden[0] == pytest.approx(h2, abs=1e-12)
     p0 = 1.0 / (1.0 + math.exp(-2.0 * h2))
     np.testing.assert_allclose(dist[:, 0], p0, atol=1e-12)
 
@@ -81,10 +85,11 @@ def test_input_standardization_applied_before_embedding():
     weights = scalar_model()
     weights.input_shift = np.array([0.1, 0.0, 0.0, 0.0])
     weights.input_scale = np.array([0.05, 1.0, 1.0, 1.0])
-    state, _ = step(weights, init_state(weights), np.array([0.2, 0.0, 0.0, 0.0]))
+    zero = init_state(weights)
+    _, cell, _ = step_one(weights, zero.hidden, zero.cell, [0.2, 0.0, 0.0, 0.0])
     # standardized dx = (0.2 - 0.1) / 0.05 = 2.0
     c1 = 0.5 * math.tanh(2.0)
-    assert state.cell[0] == pytest.approx(c1, abs=1e-12)
+    assert cell[0] == pytest.approx(c1, abs=1e-12)
 
 
 def test_init_weights_shapes_and_forget_bias():
@@ -147,6 +152,14 @@ def test_sample_batch_matches_scalar_sampler():
         assert tuple(batch[0]) == tuple(single)
 
 
+def test_sample_batch_inverts_the_cdf_of_its_uniforms():
+    # sample_batch is inverse_cdf on one (B, C) block drawn from the generator
+    rng = np.random.default_rng(24)
+    probs = rng.dirichlet(np.ones(7), size=(9, 4))
+    want = inverse_cdf(probs, np.random.default_rng(25).random((9, 4)))
+    assert np.array_equal(sample_batch(probs, np.random.default_rng(25)), want)
+
+
 def test_uniform_sampling_frequencies():
     k = 4
     dist = np.full((4, k), 1.0 / k)
@@ -169,7 +182,7 @@ def test_step_rejects_overflow():
     weights.input_scale = np.full(4, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError):
-            step(weights, init_state(weights), np.array([0.5, 0.0, 0.0, 0.0]))
+            step(weights, np.zeros((2, 1)), np.zeros((2, 1)), np.full((2, 4), 0.5))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -189,10 +202,11 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.input_scale, weights.input_scale)
 
     # same input, same distribution, loaded or not
-    state0, dist0 = step(weights, init_state(weights), np.array([0.01, 0.0, 0.0, 0.0]))
-    state1, dist1 = step(back, init_state(back), np.array([0.01, 0.0, 0.0, 0.0]))
+    zero = init_state(weights)
+    hidden0, _, dist0 = step_one(weights, zero.hidden, zero.cell, [0.01, 0.0, 0.0, 0.0])
+    hidden1, _, dist1 = step_one(back, zero.hidden, zero.cell, [0.01, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(dist0, dist1)
-    np.testing.assert_array_equal(state0.hidden, state1.hidden)
+    np.testing.assert_array_equal(hidden0, hidden1)
 
 
 def test_load_refuses_wrong_codebook(tmp_path):

@@ -9,9 +9,11 @@ from gaptrack import (
     SequencingError,
     advance,
     boxes_to_array,
+    cold_start,
     new_tracklet,
     sample_candidates,
     score_detection,
+    step,
 )
 from gaptrack.motion_model import PROB_FLOOR
 from gaptrack.scoring import SOURCE_DETECTED, STATUS_TENTATIVE
@@ -24,9 +26,9 @@ def object_boxes(scene, obj_id):
 def grown_tracklet(scene, weights, obj_id, upto):
     """Tracklet following one ground-truth object through frame ``upto``."""
     boxes = object_boxes(scene, obj_id)
-    t = new_tracklet(obj_id, 1, boxes[0], weights)
+    t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        t = advance(t, boxes[frame_index - 1], frame_index, scene.geometry, SOURCE_DETECTED, weights)
+        advance([t], [boxes[frame_index - 1]], frame_index, scene.geometry, weights)
     return t
 
 
@@ -76,7 +78,7 @@ def per_pair(origins, dists, detections, geometry, book):
 
 def test_new_tracklet_consumes_seed_token(tiny_model):
     weights, book = tiny_model
-    t = new_tracklet(5, 3, BoundingBox(10.0, 20.0, 30.0, 40.0), weights)
+    t = new_tracklet(5, 3, BoundingBox(10.0, 20.0, 30.0, 40.0), cold_start(weights))
     assert t.tracklet_id == 5
     assert t.status == STATUS_TENTATIVE
     assert len(t.boxes) == 1
@@ -124,15 +126,20 @@ def test_true_continuation_outscores_jump(tiny_model, clean_scene):
 def test_advance_appends_and_validates_frame(tiny_model, clean_scene):
     weights, _ = tiny_model
     boxes = object_boxes(clean_scene, 1)
-    t = new_tracklet(1, 1, boxes[0], weights)
-    t = advance(t, boxes[1], 2, clean_scene.geometry, SOURCE_DETECTED, weights)
+    t = new_tracklet(1, 1, boxes[0], cold_start(weights))
+    advance([t], [boxes[1]], 2, clean_scene.geometry, weights)
     assert [tb.frame for tb in t.boxes] == [1, 2]
+    assert [tb.source for tb in t.boxes] == [SOURCE_DETECTED] * 2
     assert t.state.steps_consumed == 2
 
     with pytest.raises(SequencingError):
-        advance(t, boxes[2], 4, clean_scene.geometry, SOURCE_DETECTED, weights)
+        advance([t], [boxes[2]], 4, clean_scene.geometry, weights)
     with pytest.raises(SequencingError):
-        advance(t, boxes[2], 2, clean_scene.geometry, SOURCE_DETECTED, weights)
+        advance([t], [boxes[2]], 2, clean_scene.geometry, weights)
+    with pytest.raises(ValueError):
+        advance([t], [], 3, clean_scene.geometry, weights)
+    advance([], [], 3, clean_scene.geometry, weights)  # nothing to advance
+    assert len(t.boxes) == 2
 
 
 def test_advance_updates_distribution(tiny_model, clean_scene):
@@ -140,9 +147,32 @@ def test_advance_updates_distribution(tiny_model, clean_scene):
     t = grown_tracklet(clean_scene, weights, obj_id=4, upto=5)
     dist_before = t.dist.copy()
     boxes = object_boxes(clean_scene, 4)
-    advance(t, boxes[5], 6, clean_scene.geometry, SOURCE_DETECTED, weights)
+    advance([t], [boxes[5]], 6, clean_scene.geometry, weights)
     assert not np.array_equal(t.dist, dist_before)
     np.testing.assert_allclose(t.dist.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_advance_steps_every_tracklet_like_the_batched_step(tiny_model, clean_scene):
+    # One advance over several tracklets equals one step over their stacked
+    # states, row for row.
+    weights, _ = tiny_model
+    geometry = clean_scene.geometry
+    tracklets = [grown_tracklet(clean_scene, weights, obj, upto=6) for obj in (1, 2, 3)]
+    nxt = [object_boxes(clean_scene, obj)[6] for obj in (1, 2, 3)]
+    hidden, cell, probs = step(
+        weights,
+        np.stack([t.state.hidden for t in tracklets]),
+        np.stack([t.state.cell for t in tracklets]),
+        np.stack([(b.as_array() - t.last_box.box.as_array()) / geometry.scale
+                  for t, b in zip(tracklets, nxt)]),
+    )
+    advance(tracklets, nxt, 7, geometry, weights)
+    for i, t in enumerate(tracklets):
+        assert t.last_box.box == nxt[i] and t.last_frame == 7
+        assert t.state.steps_consumed == 7
+        assert np.array_equal(t.state.hidden, hidden[i])
+        assert np.array_equal(t.state.cell, cell[i])
+        assert np.array_equal(t.dist, probs[i])
 
 
 def test_pass_scorer_equals_per_pair_scores_on_grown_tracklets(tiny_model, clean_scene):
@@ -188,8 +218,8 @@ def test_pass_scorer_on_inpainted_candidates(tiny_model, clean_scene):
     t = grown_tracklet(clean_scene, weights, obj_id=2, upto=20)
     current = 23
     dets = [d.box for d in clean_scene.detections if d.frame == current]
-    cands = sample_candidates(t, 3, [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
-                              weights, book, geometry, np.random.default_rng(0))
+    cands = sample_candidates([t], [3], [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
+                              weights, book, geometry, current)
     origins = np.stack([c.origin for c in cands])
     dists = np.stack([c.dist_at_scoring for c in cands])
     det_array = boxes_to_array(dets)

@@ -9,9 +9,12 @@ from gaptrack import (
     SequencingError,
     TrackerConfig,
     InpaintParams,
+    advance,
     make_state,
     process_frame,
     run_sequence,
+    scoring,
+    step,
 )
 from gaptrack.scoring import SOURCE_DETECTED, SOURCE_INPAINTED, STATUS_TERMINATED
 from gaptrack.synth import drop_detections
@@ -167,3 +170,60 @@ def test_gate_blocks_expensive_matches(tiny_model, clean_scene):
     result = run_sequence(clean_scene.detections, clean_scene.meta, weights, book,
                           TrackerConfig(gate_factor=1e-12))
     assert result.tracklets == []
+
+
+def test_births_share_the_cold_start_without_aliasing(tiny_model, clean_scene):
+    # A newborn holds the bits of the zero velocity stepped from the zero
+    # state; advancing one newborn leaves another's state and dist untouched.
+    weights, book = tiny_model
+    geometry = clean_scene.geometry
+    state = make_state(weights, book, geometry, TrackerConfig())
+    boxes = [BoundingBox(100.0, 100.0, 40.0, 40.0), BoundingBox(600.0, 300.0, 40.0, 40.0)]
+    fr = process_frame(state, 1, boxes)
+    assert fr.born == (1, 2)
+    a, b = state.tracklets
+    zero = np.zeros((1, weights.config.hidden_dim))
+    hidden, cell, probs = step(weights, zero, zero, np.zeros((1, 4)))
+    for t in (a, b):
+        assert np.array_equal(t.state.hidden, hidden[0])
+        assert np.array_equal(t.state.cell, cell[0])
+        assert np.array_equal(t.dist, probs[0])
+        assert t.state.steps_consumed == 1
+        assert not t.dist.flags.writeable and not t.state.hidden.flags.writeable
+
+    kept = (b.state, b.state.hidden.copy(), b.state.cell.copy(), b.dist.copy())
+    advance([a], [BoundingBox(104.0, 102.0, 40.0, 40.0)], 2, geometry, weights)
+    assert not np.array_equal(a.dist, kept[3])
+    assert b.state is kept[0]
+    assert np.array_equal(b.state.hidden, kept[1])
+    assert np.array_equal(b.state.cell, kept[2])
+    assert np.array_equal(b.dist, kept[3])
+    assert np.array_equal(state.cold_start[1], probs[0])
+
+
+def test_one_model_step_per_frame_and_none_for_births(tiny_model, clean_scene, monkeypatch):
+    weights, book = tiny_model
+    scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1, 4])
+    state = make_state(weights, book, scene.geometry, TrackerConfig())
+    rows = []
+    real_step = scoring.step
+
+    def counted(weights, hidden, cell, deltas):
+        rows.append(hidden.shape[0])
+        return real_step(weights, hidden, cell, deltas)
+
+    monkeypatch.setattr(scoring, "step", counted)
+    by_frame = {}
+    for det in scene.detections:
+        by_frame.setdefault(det.frame, []).append(det)
+    fr = process_frame(state, 1, by_frame[1])
+    assert len(fr.born) == 6 and rows == []  # births make no model call
+    for frame_index in range(2, scene.meta.length + 1):
+        future = [by_frame.get(frame_index + k, []) for k in (1, 2, 3)]
+        fr = process_frame(state, frame_index, by_frame.get(frame_index, []), future)
+        # one step, over every tracklet matched in either pass
+        matched = [t for t in state.tracklets
+                   if t.last_frame == frame_index and t.tracklet_id not in fr.born]
+        assert rows[frame_index - 2:] == [len(matched)]
+        if frame_index == 33:
+            assert any(t.boxes[-2].source == SOURCE_INPAINTED for t in matched)
