@@ -33,7 +33,7 @@ from .mot_io import (
 )
 from .geometry import BoundingBox
 from .motion_model import load_weights, save_weights
-from .scoring import advance, cold_start, new_tracklet, sample_candidates, t_trs_for_frame_rate
+from .scoring import advance, cold_start, new_tracklet, sample_candidates
 from .synth import generate
 from .tracker import run_sequence
 from .training import TrainingTrack, fit_codebook, next_step_accuracy, train, window_tracks
@@ -199,7 +199,7 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
     boxes = scene.trajectories[args.object]
     prefix = args.prefix
     gap = args.gap
-    t_trs = cfg.tracker.inpaint.t_trs or t_trs_for_frame_rate(scene.meta.frame_rate)
+    t_trs = cfg.tracker.inpaint.lookahead_frames(scene.meta.frame_rate)
     if prefix + gap + t_trs > len(boxes):
         raise GaptrackError("prefix + gap + lookahead exceeds the scene length")
 

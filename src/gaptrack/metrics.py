@@ -9,10 +9,10 @@ one, even if frames were missed in between. Identity F1 matches whole
 trajectories globally by co-occurrence counts.
 
 Rows become frame-sorted arrays once: frames, ids and boxes, in input order
-within a frame (the leftover solve breaks ties by that order). The IOU of
-each same-frame (ground truth, prediction) pair is computed once, in blocks
-of consecutive frames holding at most ``PAIR_BLOCK`` pairs (a larger frame is
-a block of its own), so memory stays bounded on long, crowded sequences.
+within a frame. The IOU of each same-frame (ground truth, prediction) pair
+is computed once, in blocks of consecutive frames holding at most
+``PAIR_BLOCK`` pairs (a larger frame is a block of its own), so memory stays
+bounded on long, crowded sequences.
 Each frame is matched on its slice of its block, and the pairs at or above
 the threshold are kept as the co-occurrences that identity F1 counts.
 """

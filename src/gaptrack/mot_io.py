@@ -89,8 +89,8 @@ def _row_box(path: str, line_number: int, values: list[float]) -> BoundingBox:
         raise ParseError(path, line_number, f"invalid box: {exc}") from None
 
 
-def read_detections(path, min_confidence: float | None = None) -> list[Detection]:
-    """Parse a detection file; rows below ``min_confidence`` are dropped."""
+def read_detections(path) -> list[Detection]:
+    """Parse a detection file; the tracker drops low-confidence rows itself."""
     path = Path(path)
     out = []
     for line_number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -99,10 +99,8 @@ def read_detections(path, min_confidence: float | None = None) -> list[Detection
             continue
         values = _parse_row(str(path), line_number, line, 7)
         frame = _row_int(str(path), line_number, values[0], "frame index", 1)
-        conf = values[6]
-        if min_confidence is not None and conf < min_confidence:
-            continue
-        out.append(Detection(frame=frame, box=_row_box(str(path), line_number, values), confidence=conf))
+        box = _row_box(str(path), line_number, values)
+        out.append(Detection(frame=frame, box=box, confidence=values[6]))
     return out
 
 

@@ -88,6 +88,22 @@ class InpaintParams:
     sampling: str = SAMPLING_MULTINOMIAL
     seed: int = 0
 
+    def __post_init__(self):
+        if self.sampling not in (SAMPLING_MULTINOMIAL, SAMPLING_TOP1):
+            raise ValueError(
+                f"sampling must be {SAMPLING_MULTINOMIAL!r} or {SAMPLING_TOP1!r}, got {self.sampling!r}"
+            )
+        if self.num_samples < 0:
+            raise ValueError(f"num_samples must be >= 0, got {self.num_samples}")
+        if self.t_trs is not None and self.t_trs < 0:
+            raise ValueError(f"t_trs must be >= 0 or null, got {self.t_trs}")
+        if not 0.0 <= self.iou_threshold <= 1.0:
+            raise ValueError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
+
+    def lookahead_frames(self, frame_rate: float) -> int:
+        """``t_trs`` when set (0 means no lookahead), else the frame rate's default."""
+        return t_trs_for_frame_rate(frame_rate) if self.t_trs is None else self.t_trs
+
 
 @dataclass
 class Tracklet:
@@ -113,10 +129,6 @@ class Tracklet:
     @property
     def last_frame(self) -> int:
         return self.boxes[-1].frame
-
-    @property
-    def confirmed(self) -> bool:
-        return self.status in (STATUS_ACTIVE, STATUS_GAPPED)
 
 
 def cold_start(weights: ModelWeights) -> tuple[RecurrentState, np.ndarray]:
@@ -227,11 +239,6 @@ class InpaintCandidate:
     def boxes(self) -> list[BoundingBox]:
         """The path rows as boxes."""
         return [BoundingBox(*map(float, row)) for row in self.path]
-
-    @property
-    def box_at_scoring(self) -> BoundingBox:
-        """The origin row as a box."""
-        return BoundingBox(*map(float, self.origin))
 
 
 def _as_box_array(boxes) -> np.ndarray:

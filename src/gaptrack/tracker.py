@@ -48,7 +48,6 @@ from .scoring import (
     new_tracklet,
     reattach,
     score_detection,
-    t_trs_for_frame_rate,
 )
 
 
@@ -127,16 +126,13 @@ def make_state(
 ) -> TrackerState:
     config = config or TrackerConfig()
     gate = config.gate_factor * 4.0 * math.log(codebook.k)
-    t_trs = config.inpaint.t_trs
-    if t_trs is None:
-        t_trs = t_trs_for_frame_rate(frame_rate)
     return TrackerState(
         weights=weights,
         codebook=codebook,
         frame=frame,
         config=config,
         gate=gate,
-        t_trs=t_trs,
+        t_trs=config.inpaint.lookahead_frames(frame_rate),
         cold_start=cold_start(weights),
     )
 

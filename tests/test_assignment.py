@@ -1,4 +1,4 @@
-"""Minimum-cost assignment against brute-force enumeration."""
+"""Minimum-cost assignment: cardinality and cost against brute-force enumeration and scipy."""
 
 import itertools
 
@@ -9,7 +9,7 @@ from gaptrack import FORBIDDEN, solve
 
 
 def brute_force(costs):
-    """Best matching by enumeration: max cardinality, then min cost, then lexicographic."""
+    """(cardinality, cost) of the best matching by enumeration: max cardinality, then min cost."""
     costs = np.asarray(costs, dtype=np.float64)
     n, m = costs.shape
     best = None
@@ -19,16 +19,32 @@ def brute_force(costs):
             for col_perm in itertools.permutations(range(m), size):
                 if any(np.isinf(costs[r, c]) for r, c in zip(row_subset, col_perm)):
                     continue
-                pairs = sorted(zip(row_subset, col_perm))
-                total = sum(costs[r, c] for r, c in pairs)
-                # one-decimal costs: rounding undoes float summation-order
-                # noise so decimal ties rank as ties
-                key = (round(total, 6), pairs)
-                if best is None or key < best:
-                    best = key
+                total = sum(costs[r, c] for r, c in zip(row_subset, col_perm))
+                if best is None or total < best:
+                    best = total
         if best is not None:
-            return best[1]
-    return []
+            return size, best
+    return 0, 0.0
+
+
+def summary(costs, pairs):
+    """(cardinality, cost) of ``pairs``, after checking they form a valid matching."""
+    costs = np.asarray(costs, dtype=np.float64)
+    rows = [r for r, _ in pairs]
+    cols = [c for _, c in pairs]
+    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+    assert all(np.isfinite(costs[r, c]) for r, c in pairs)
+    return len(pairs), float(sum(costs[r, c] for r, c in pairs))
+
+
+def assert_optimal(costs, message=""):
+    """``solve``'s (cardinality, cost) equals brute force's, in both orientations."""
+    for oriented in (costs, np.asarray(costs).T):
+        size, total = summary(oriented, solve(oriented))
+        want_size, want_total = brute_force(oriented)
+        assert size == want_size, f"{message}: cardinality"
+        # one-decimal costs: summation order moves ties in the last bits
+        assert total == pytest.approx(want_total, rel=1e-12, abs=1e-9), f"{message}: cost"
 
 
 def test_two_by_two_hand_example():
@@ -43,8 +59,7 @@ def test_competition_for_one_cheap_column():
 
 def test_rectangular_both_orientations():
     costs = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0]])
-    assert solve(costs) == brute_force(costs)
-    assert solve(costs.T) == brute_force(costs.T)
+    assert_optimal(costs)
 
 
 def test_empty_and_degenerate_shapes():
@@ -74,13 +89,7 @@ def test_matches_brute_force_on_random_instances():
         costs = np.round(rng.uniform(0.0, 10.0, size=(n, m)), 1)
         # forbid a random subset of pairs
         costs[rng.random(size=(n, m)) < 0.3] = FORBIDDEN
-        got = solve(costs)
-        want = brute_force(costs)
-        got_cost = sum(costs[r, c] for r, c in got)
-        want_cost = sum(costs[r, c] for r, c in want)
-        assert len(got) == len(want), f"trial {trial}: cardinality {got} vs {want}"
-        assert got_cost == pytest.approx(want_cost), f"trial {trial}: cost"
-        assert got == want, f"trial {trial}: tie-break {got} vs {want}"
+        assert_optimal(costs, f"trial {trial}")
 
 
 def one_to_one(rng, n, m):
@@ -96,8 +105,7 @@ def test_one_to_one_costs_match_brute_force():
     rng = np.random.default_rng(12)
     for trial in range(300):
         costs = one_to_one(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        assert solve(costs) == brute_force(costs), f"trial {trial}"
-        assert solve(costs.T) == brute_force(costs.T), f"trial {trial}, transposed"
+        assert_optimal(costs, f"trial {trial}")
 
 
 def test_one_to_one_near_miss_takes_the_general_path():
@@ -117,23 +125,15 @@ def test_one_to_one_near_miss_takes_the_general_path():
         col = int(rng.choice(cols))
         row = int(rng.choice(np.flatnonzero(~np.isfinite(costs[:, col]))))
         costs[row, col] = np.round(rng.uniform(-5.0, 5.0), 1)
-        assert solve(costs) == brute_force(costs), f"trial {trial}"
-        assert solve(costs.T) == brute_force(costs.T), f"trial {trial}, transposed"
+        assert_optimal(costs, f"trial {trial}")
 
 
 def test_integer_costs_solved_exactly():
     rng = np.random.default_rng(11)
     for _ in range(100):
         costs = rng.integers(0, 100, size=(4, 4)).astype(np.float64)
-        got = solve(costs)
-        want = brute_force(costs)
-        assert got == want
-
-
-def test_lexicographic_tie_break():
-    # All-equal costs admit many optimal matchings; the identity is smallest.
-    costs = np.ones((3, 3))
-    assert solve(costs) == [(0, 0), (1, 1), (2, 2)]
+        for oriented in (costs, costs.T):
+            assert summary(oriented, solve(oriented)) == brute_force(oriented)
 
 
 def test_shift_invariance():
@@ -179,23 +179,16 @@ def _tie_heavy(rng, n, m):
     return costs
 
 
-def _summary(costs, pairs):
-    rows = [r for r, _ in pairs]
-    cols = [c for _, c in pairs]
-    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
-    assert all(np.isfinite(costs[r, c]) for r, c in pairs)
-    return len(pairs), float(sum(costs[r, c] for r, c in pairs))
-
-
 @pytest.mark.parametrize("shape", [(50, 70), (70, 50), (200, 200)])
 def test_random_float_costs_match_scipy(shape):
     rng = np.random.default_rng(sum(shape))
     costs = rng.uniform(-3.0, 10.0, size=shape)
     costs[rng.random(size=shape) < 0.5] = FORBIDDEN
-    size, total = _summary(costs, solve(costs))
-    want_size, want_total = _oracle(costs)
-    assert size == want_size
-    assert total == pytest.approx(want_total, rel=1e-12, abs=1e-9)
+    for oriented in (costs, costs.T):
+        size, total = summary(oriented, solve(oriented))
+        want_size, want_total = _oracle(oriented)
+        assert size == want_size
+        assert total == pytest.approx(want_total, rel=1e-12, abs=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (80, 80), (60, 90), (90, 60), (200, 200)])
@@ -203,42 +196,8 @@ def test_tie_heavy_integer_costs_match_scipy(shape):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     for _ in range(3):
         costs = _tie_heavy(rng, *shape)
-        assert _summary(costs, solve(costs)) == _oracle(costs)
-
-
-def _lexicographic_oracle(costs):
-    """Pin rows in order to their smallest column that keeps scipy's optimum."""
-    best = _oracle(costs)
-    rows, cols = list(range(costs.shape[0])), list(range(costs.shape[1]))
-    pinned, pinned_cost = [], 0.0
-
-    def keeps_optimum(rest_rows, rest_cols, extra_pairs, extra_cost):
-        sub = costs[np.ix_(rest_rows, rest_cols)] if rest_rows and rest_cols else np.zeros((0, 0))
-        size, total = _oracle(sub) if sub.size else (0, 0.0)
-        # rounding undoes float summation-order noise so decimal ties rank as ties
-        return (size + extra_pairs, round(total + extra_cost, 9)) == (best[0], round(best[1], 9))
-
-    for r in range(costs.shape[0]):
-        rows.remove(r)
-        for c in cols:
-            if np.isfinite(costs[r, c]) and keeps_optimum(
-                rows, [k for k in cols if k != c], len(pinned) + 1, pinned_cost + costs[r, c]
-            ):
-                pinned.append((r, c))
-                pinned_cost += costs[r, c]
-                cols.remove(c)
-                break
-    return pinned
-
-
-def test_tie_break_matches_lexicographic_oracle():
-    rng = np.random.default_rng(13)
-    for trial in range(40):
-        costs = _tie_heavy(rng, 12, 15)
-        if trial % 2:  # one-decimal costs: ties that are inexact in binary
-            costs = np.where(np.isfinite(costs), np.round(rng.uniform(0.0, 3.0, costs.shape), 1), costs)
-        assert solve(costs) == _lexicographic_oracle(costs)
-        assert solve(costs.T) == _lexicographic_oracle(costs.T)
+        for oriented in (costs, costs.T):
+            assert summary(oriented, solve(oriented)) == _oracle(oriented)
 
 
 def test_block_diagonal_is_the_union_of_its_blocks():

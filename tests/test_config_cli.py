@@ -107,6 +107,27 @@ def test_value_types_are_checked():
     assert from_dict({"training": {"learning_rate": 1}}).training.learning_rate == 1
 
 
+@pytest.mark.parametrize("inpaint, field", [
+    ({"sampling": "Top1"}, "sampling"),
+    ({"num_samples": -3}, "num_samples"),
+    ({"iou_threshold": 7.5}, "iou_threshold"),
+    ({"iou_threshold": -0.1}, "iou_threshold"),
+    ({"t_trs": -2}, "t_trs"),
+])
+def test_inpaint_params_are_range_checked(inpaint, field):
+    with pytest.raises(ConfigError, match=f"tracker.inpaint: {field}"):
+        from_dict({"tracker": {"inpaint": inpaint}})
+
+
+def test_inpaint_params_accept_their_edges():
+    inpaint = from_dict({"tracker": {"inpaint": {
+        "sampling": "top1", "num_samples": 0, "iou_threshold": 1, "t_trs": 0,
+    }}}).tracker.inpaint
+    assert (inpaint.num_samples, inpaint.iou_threshold, inpaint.t_trs) == (0, 1, 0)
+    inpaint = from_dict({"tracker": {"inpaint": {"iou_threshold": 0.0}}}).tracker.inpaint
+    assert inpaint.iou_threshold == 0.0
+
+
 def test_nullable_fields_accept_null():
     cfg = from_dict({"training": {"clip_norm": None, "window": None}})
     assert cfg.training.clip_norm is None
@@ -274,6 +295,24 @@ def test_inpaint_demo_writes_branch_csv(pipeline, tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
+def test_inpaint_demo_honours_a_zero_lookahead(pipeline, tmp_path):
+    # t_trs 0 scores each branch on the rejoin frame alone, as the tracker does
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {**PIPELINE_CONFIG, "tracker": {"inpaint": {"num_samples": 8, "t_trs": 0}}}
+    ))
+    out = tmp_path / "branches.csv"
+    rc = main(["inpaint-demo", "--config", str(cfg_path),
+               "--model", str(pipeline["model"]), "--codebook", str(pipeline["book"]),
+               "--out", str(out), "--object", "1", "--prefix", "10", "--gap", "2"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+    scores = [float(row[header.index("iou_score")]) for row in rows]
+    assert len(scores) == 8
+    # one IoU per lookahead frame, so a single frame caps the score at 1
+    assert max(scores) <= 1.0
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
@@ -289,6 +328,19 @@ def test_config_errors_exit_3(tmp_path, capsys):
     rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"tracker": {"inpaint": {"sampling": "Top1"}}}))
+    rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
+    assert rc == 3
+    assert "sampling" in capsys.readouterr().err
+    # the flag goes through the same check
+    rc = main(["inpaint-demo", "--model", "m.npz", "--codebook", "b.npz",
+               "--out", str(tmp_path / "b.csv"), "--samples", "-3"])
+    assert rc == 3
+    assert "num_samples" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

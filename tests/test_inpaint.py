@@ -334,12 +334,11 @@ def check_candidates(cands, tracklets, lookahead, threshold):
         fate = per_branch_fate(cand, gap + len(lookahead) - 1, lookahead[0], threshold)
         assert cand.rejection_reason == fate
         assert cand.rejected == (fate != "")
-        # the box views are the path rows and the scoring origin
+        # the box views are the path rows
         assert len(cand.boxes) == len(cand.path)
         for box, row in zip(cand.boxes, cand.path):
             assert box == BoundingBox(*row)
             assert np.array_equal(box.as_array(), row)
-        assert np.array_equal(cand.box_at_scoring.as_array(), cand.origin)
         if not fate:
             before = cand.path[gap - 2] if gap > 1 else tracklet.last_box.box.as_array()
             assert np.array_equal(cand.origin, before)

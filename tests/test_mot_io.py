@@ -38,8 +38,8 @@ def test_detection_confidence_filter(tmp_path):
         "1,-1,20,20,5,5,0.2,-1,-1,-1\n"
         "2,-1,30,30,5,5,0.5,-1,-1,-1\n"
     )
-    assert len(read_detections(path)) == 3
-    assert len(read_detections(path, min_confidence=0.5)) == 2
+    # every row is kept with its confidence; the tracker applies the threshold
+    assert [d.confidence for d in read_detections(path)] == pytest.approx([0.9, 0.2, 0.5])
 
 
 def test_blank_lines_are_skipped(tmp_path):

@@ -154,6 +154,19 @@ def test_process_frame_rejects_out_of_order_frames(tiny_model, clean_scene):
         process_frame(state, 3, [])
 
 
+def test_lookahead_comes_from_the_config_or_the_frame_rate(tiny_model, clean_scene):
+    weights, book = tiny_model
+
+    def lookahead(t_trs, frame_rate):
+        config = TrackerConfig(inpaint=InpaintParams(t_trs=t_trs))
+        return make_state(weights, book, clean_scene.geometry, config, frame_rate).t_trs
+
+    # a configured 0 means no lookahead; only null derives it from the frame rate
+    assert lookahead(0, 30.0) == 0 == InpaintParams(t_trs=0).lookahead_frames(30.0)
+    assert lookahead(5, 10.0) == 5
+    assert lookahead(None, 30.0) == 3 and lookahead(None, 10.0) == 2
+
+
 def test_instant_birth_confirmation(tiny_model, clean_scene):
     weights, book = tiny_model
     state = make_state(weights, book, clean_scene.geometry,

@@ -82,15 +82,21 @@ def test_loss_is_deterministic():
         np.testing.assert_array_equal(grads_a[name], grads_b[name])
 
 
-def straight_tracks(n, length, speed, rng):
-    """Constant-velocity tracks with slightly varied speeds."""
+def straight_tracks(n, length, speed, rng, growth=0.0):
+    """Constant-velocity tracks with slightly varied speeds.
+
+    With ``growth`` the boxes also widen by a slightly varied ``g`` px per
+    frame and heighten by ``2 g``; without it their size is constant.
+    """
     tracks = []
     for i in range(n):
         v = speed * (1.0 + 0.1 * rng.standard_normal())
+        g = growth * (1.0 + 0.1 * rng.standard_normal()) if growth else 0.0
         x0 = rng.uniform(0.0, 100.0)
         y0 = rng.uniform(0.0, 100.0)
         boxes = np.stack([
-            np.array([x0 + v * t, y0 + 0.5 * v * t, 30.0, 60.0]) for t in range(length)
+            np.array([x0 + v * t, y0 + 0.5 * v * t, 30.0 + g * t, 60.0 + 2.0 * g * t])
+            for t in range(length)
         ])
         tracks.append(TrainingTrack(boxes, FRAME))
     return tracks
@@ -98,12 +104,15 @@ def straight_tracks(n, length, speed, rng):
 
 def test_training_reduces_loss_and_predicts_constant_velocity():
     rng = np.random.default_rng(42)
-    tracks = straight_tracks(12, 20, speed=3.0, rng=rng)
+    # varied size growth gives dw and dh several values, so every component
+    # gets k cells and the cluster log-likelihood has something to learn
+    tracks = straight_tracks(12, 20, speed=3.0, rng=rng, growth=0.2)
     velocities = np.concatenate(
         [np.diff(t.boxes, axis=0) / [FRAME.width, FRAME.height, FRAME.width, FRAME.height]
          for t in tracks]
     )
     book = fit(velocities, k=8, seed=0)
+    assert book.k == 8
     schedule = TrainSchedule(
         iterations=250, batch_size=8, learning_rate=5e-3, jitter_fraction=0.0, seed=0
     )
