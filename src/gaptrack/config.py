@@ -35,11 +35,19 @@ class CodebookSection:
     size: int = 256
     seed: int = 0
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+
 
 @dataclass(frozen=True)
 class ModelSection:
     # num_clusters is not configurable: it comes from the fitted codebook.
     hidden_dim: int = ModelConfig.hidden_dim
+
+    def __post_init__(self):
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 _SECTIONS = {

@@ -124,12 +124,14 @@ def init_state(weights: ModelWeights) -> RecurrentState:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: ``exp`` only ever sees ``-|x|``.
+
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    below, both from the one ``z = exp(-|x|)``. ``min(x, -x)`` is ``-|x|``
+    that keeps the sign of a NaN, so NaNs pass through unchanged.
+    """
+    z = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 def lstm_core(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> dict:
@@ -144,9 +146,8 @@ def lstm_core(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: 
     e = np.maximum(a, 0.0)
     zcat = np.concatenate([e, h_prev], axis=1)
     pre = zcat @ weights.lstm_w + weights.lstm_b
-    i = _sigmoid(pre[:, :hdim])
-    f = _sigmoid(pre[:, hdim : 2 * hdim])
-    o = _sigmoid(pre[:, 2 * hdim : 3 * hdim])
+    gates = _sigmoid(pre[:, : 3 * hdim])
+    i, f, o = gates[:, :hdim], gates[:, hdim : 2 * hdim], gates[:, 2 * hdim :]
     g = np.tanh(pre[:, 3 * hdim :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
@@ -161,14 +162,20 @@ def head_outputs(weights: ModelWeights, h: np.ndarray):
     """Cluster log-probabilities, probabilities, and residual read-out.
 
     ``h`` may be (B, H) or (B, T, H); heads apply along the last axis, so a
-    whole sequence of hidden states is projected in one call.
+    whole sequence of hidden states is projected in one call. The logits
+    are one (N, H) @ (H, C*K) product, and the softmax works in place on
+    them and on one ``exp`` buffer.
     """
-    logits = np.tensordot(h, weights.head_w, axes=([h.ndim - 1], [1])) + weights.head_b
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    n_comp, hdim, n_cells = weights.head_w.shape
+    log_probs = h.reshape(-1, hdim) @ weights.head_w.transpose(1, 0, 2).reshape(hdim, n_comp * n_cells)
+    log_probs = log_probs.reshape(*h.shape[:-1], n_comp, n_cells)
+    log_probs += weights.head_b
+    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    probs = np.exp(log_probs)
+    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
+    np.exp(log_probs, out=probs)
     res = h @ weights.res_w + weights.res_b
-    return log_probs, np.exp(log_probs), res
+    return log_probs, probs, res
 
 
 def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> dict:

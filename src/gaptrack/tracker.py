@@ -74,11 +74,13 @@ class TrackerConfig:
     gate_factor: float = 2.0
     birth_confirmation: int = 2
     termination_gap: int = 10
-    min_detection_confidence: float = 0.0
+    min_detection_confidence: float = 0.0  # unbounded: detector scores need not lie in [0, 1]
     emit_inpainted: bool = True
     inpaint: InpaintParams = field(default_factory=InpaintParams)
 
     def __post_init__(self):
+        if not self.gate_factor > 0.0:
+            raise ValueError(f"gate_factor must be > 0, got {self.gate_factor}")
         if self.birth_confirmation < 1:
             raise ValueError(f"birth_confirmation must be >= 1, got {self.birth_confirmation}")
         if self.termination_gap < 1:

@@ -10,6 +10,10 @@ Sequences are consumed as box tracks; each iteration re-extracts velocities
 after box jitter augmentation, prepends a zero seed velocity (the same token
 the tracker feeds a fresh single-box tracklet), quantizes targets against the
 codebook, and groups sequences of equal length into rectangular mini-batches.
+Scheduled teacher forcing happens inside the loss's forward pass: late steps
+may take a sample of the model's own previous prediction as input, drawn
+just before the recurrence consumes it, so each iteration runs the
+recurrence once.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class TrainSchedule:
 
     ``window`` is not used by :func:`train` itself: it is the length the
     training tracks are cut to before training (:func:`window_tracks`).
+    ``clip_norm=None`` switches gradient clipping off.
     """
 
     iterations: int = 5000
@@ -56,6 +61,23 @@ class TrainSchedule:
     jitter_fraction: float = 0.02       # box jitter amplitude relative to box size
     window: int | None = 25
     seed: int = 0
+
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be > 0 or null, got {self.clip_norm}")
+        for name in ("teacher_forcing_prob", "teacher_forcing_onset"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not self.jitter_fraction >= 0.0:
+            raise ValueError(f"jitter_fraction must be >= 0, got {self.jitter_fraction}")
+        if self.window is not None and self.window < 3:
+            raise ValueError(f"window must be >= 3 or null, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -160,43 +182,28 @@ def _group_by_length(triples):
 
 
 def _teacher_force_inputs(
-    weights: ModelWeights,
-    inputs: np.ndarray,
+    x_t: np.ndarray,
+    prev_probs: np.ndarray,
     codebook: Codebook,
-    schedule: TrainSchedule,
+    prob: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Replace late-sequence inputs with decoded samples of the model's own output.
+) -> None:
+    """Substitute decoded samples of the model's own output into one step's inputs.
 
-    At every step past the onset fraction, each sequence independently keeps
-    the ground-truth velocity with probability 1 - p and otherwise substitutes
-    the centroid decoding of one sample from the previous step's predicted
-    distribution. Targets are untouched.
+    ``x_t`` is the (B, D) input of one step, written in place. Each row
+    independently keeps its ground-truth velocity with probability
+    ``1 - prob`` and otherwise takes the centroid decoding of one sample
+    from its row of ``prev_probs``, the previous step's (B, C, K)
+    prediction. Draws B uniforms for the mask, then one block of samples
+    for the rows it picks.
     """
-    p_tf = schedule.teacher_forcing_prob
-    b, t_len, _ = inputs.shape
-    onset = max(1, int(np.ceil(schedule.teacher_forcing_onset * t_len)))
-    if p_tf <= 0.0 or onset >= t_len:
-        return inputs
-    x = inputs.copy()
-    hdim = weights.config.hidden_dim
-    h = np.zeros((b, hdim))
-    c = np.zeros((b, hdim))
-    prev_probs = None
-    for t in range(t_len):
-        if t >= onset:
-            mask = rng.random(b) < p_tf
-            if mask.any():
-                idx = sample_batch(prev_probs[mask], rng)
-                x[mask, t] = decode(idx, codebook)
-        core = lstm_core(weights, x[:, t], h, c)
-        h, c = core["h"], core["c"]
-        if t >= onset - 1:  # heads are only needed once sampling can fire
-            prev_probs = head_outputs(weights, h)[1]
-    return x
+    mask = rng.random(len(x_t)) < prob
+    if mask.any():
+        x_t[mask] = decode(sample_batch(prev_probs[mask], rng), codebook)
 
 
-def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LOSS_WEIGHT):
+def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LOSS_WEIGHT,
+                       forcing=None):
     """Loss and analytic parameter gradients over rectangular sequence groups.
 
     ``groups`` is a list of (inputs (B, T, D), targets (B, T, C) int,
@@ -204,9 +211,19 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
     over every (sequence, step, component) term across all groups; the
     residual term is ``aux_weight`` times the mean squared error of
     ``standardized input + residual`` against the standardized next velocity.
-    Deterministic, so finite differences can validate the gradients exactly.
+
+    ``forcing``, when given, is ``(codebook, schedule, rng)``: scheduled
+    teacher forcing runs inside the forward pass. Group by group and step
+    by step, each step past the schedule's onset draws from ``rng`` and
+    substitutes samples of the previous step's prediction into a copy of
+    the inputs (:func:`_teacher_force_inputs`) before the recurrence
+    consumes it; targets are untouched, and the gradients treat the forced
+    inputs as constants. Without it the result is deterministic, so finite
+    differences can validate the gradients exactly.
     """
     hdim = weights.config.hidden_dim
+    if forcing is not None:
+        book, schedule, rng = forcing
     forward = []
     nll_sum = 0.0
     sq_sum = 0.0
@@ -214,14 +231,22 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
     n_aux = 0
     for inputs, targets, aux in groups:
         b, t_len, _ = inputs.shape
+        onset = t_len  # the first step forcing may replace
+        if forcing is not None and schedule.teacher_forcing_prob > 0.0:
+            onset = max(1, int(np.ceil(schedule.teacher_forcing_onset * t_len)))
+        x = inputs.copy() if onset < t_len else inputs
         aux_s = (aux - weights.input_shift) / weights.input_scale
         h = np.zeros((b, hdim))
         c = np.zeros((b, hdim))
         caches = []
         for t in range(t_len):
-            out = lstm_core(weights, inputs[:, t], h, c)
+            if t >= onset:
+                _teacher_force_inputs(x[:, t], prev_probs, book, schedule.teacher_forcing_prob, rng)
+            out = lstm_core(weights, x[:, t], h, c)
             h, c = out["h"], out["c"]
             caches.append(out)
+            if onset - 1 <= t < t_len - 1:  # the next step may sample from this one
+                prev_probs = head_outputs(weights, h)[1]
         # Only the recurrence is sequential; heads apply to every step at once.
         hs = np.stack([k["h"] for k in caches], axis=1)     # (B, T, H)
         xss = np.stack([k["xs"] for k in caches], axis=1)   # (B, T, D)
@@ -237,19 +262,21 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
     loss = nll_sum / n_nll + aux_weight * sq_sum / n_aux
     grads = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
 
+    n_comp, _, n_cells = weights.head_w.shape
     for (inputs, targets, _), (caches, hs, xss, probs, diff) in zip(groups, forward):
         b, t_len, _ = inputs.shape
         n_flat = b * t_len
 
-        dlogits = probs / n_nll
+        dlogits = probs  # the forward's probabilities are not needed again
+        dlogits /= n_nll
         sub = np.take_along_axis(dlogits, targets[..., None], axis=3) - 1.0 / n_nll
         np.put_along_axis(dlogits, targets[..., None], sub, axis=3)
         dres = (2.0 * aux_weight / n_aux) * diff
 
         hs_flat = hs.reshape(n_flat, hdim)
-        dl_flat = dlogits.reshape(n_flat, *dlogits.shape[2:])
-        grads["head_w"] += np.tensordot(dl_flat, hs_flat, axes=([0], [0])).transpose(0, 2, 1)
-        grads["head_b"] += dl_flat.sum(axis=0)
+        dl_flat = dlogits.reshape(n_flat, n_comp * n_cells)
+        grads["head_w"] += (hs_flat.T @ dl_flat).reshape(hdim, n_comp, n_cells).transpose(1, 0, 2)
+        grads["head_b"] += dlogits.reshape(n_flat, n_comp, n_cells).sum(axis=0)
         grads["res_w"] += hs_flat.T @ dres.reshape(n_flat, -1)
         grads["res_b"] += dres.sum(axis=(0, 1))
 
@@ -296,7 +323,7 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float | None) -> None:
-    if clip_norm is None or clip_norm <= 0:
+    if clip_norm is None:
         return
     for g in grads.values():
         norm = float(np.sqrt(np.sum(g * g)))
@@ -314,11 +341,13 @@ def train(
     """Train a fresh model on box tracks; returns (weights, per-iteration loss trace).
 
     Each iteration samples ``batch_size`` tracks with replacement, jitters
-    their boxes, extracts and quantizes velocities, applies scheduled teacher
-    forcing, and takes one Adam step on the hand-derived gradients with
-    per-parameter norm clipping. Raises :class:`TrainingDivergedError` with
-    the iteration index if the loss leaves the finite range. Deterministic
-    given the dataset and ``schedule.seed``.
+    their boxes, extracts and quantizes velocities, and takes one Adam step
+    on the hand-derived gradients with per-parameter norm clipping. Teacher
+    forcing happens inside the forward pass of :func:`loss_and_gradients`,
+    which draws from ``rng`` after all of the iteration's jitter draws.
+    Raises :class:`TrainingDivergedError` with the iteration index if the
+    loss leaves the finite range. Deterministic given the dataset and
+    ``schedule.seed``.
     """
     dataset = list(dataset)
     if not dataset:
@@ -354,11 +383,7 @@ def train(
                 boxes = _jitter_boxes(boxes, schedule.jitter_fraction, rng)
             triples.append(_track_to_sequence(boxes, track.frame, codebook))
         groups = _group_by_length(triples)
-        groups = [
-            (_teacher_force_inputs(weights, inputs, codebook, schedule, rng), targets, aux)
-            for inputs, targets, aux in groups
-        ]
-        loss, grads = loss_and_gradients(weights, groups)
+        loss, grads = loss_and_gradients(weights, groups, forcing=(codebook, schedule, rng))
         if not np.isfinite(loss):
             raise TrainingDivergedError(iteration=it)
         _clip_gradients(grads, schedule.clip_norm)

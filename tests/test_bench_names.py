@@ -131,6 +131,19 @@ def test_layer_hooks_read_real_return_values(tiny_model, clean_scene, monkeypatc
     assert "id_switches" in tracer.counters
 
 
+def test_every_training_wrap_is_called_by_train(tiny_model, clean_scene, monkeypatch):
+    # a wrapped name that still resolves but is never called reads 0 in the bench
+    weights, book = tiny_model
+    layers = _layers()
+    tracer = HookTracer(monkeypatch)
+    layers.install(tracer)
+    training.train(clean_scene.training_tracks(window=20), book, weights.config,
+                   TrainSchedule(iterations=2, batch_size=4, teacher_forcing_prob=1.0, seed=0))
+    targets = [target for target, *_ in layers.WRAPS if target.startswith("gaptrack.training:")]
+    assert "gaptrack.training:_teacher_force_inputs" in targets
+    assert all(tracer.calls[target] > 0 for target in targets), tracer.calls
+
+
 def test_cell_forward_returns_what_the_workloads_read(tiny_model):
     weights, book = tiny_model
     h = np.zeros((1, weights.config.hidden_dim))

@@ -128,6 +128,57 @@ def test_inpaint_params_accept_their_edges():
     assert inpaint.iou_threshold == 0.0
 
 
+@pytest.mark.parametrize("size", [0, -4])
+def test_codebook_section_is_range_checked(size):
+    with pytest.raises(ConfigError, match="codebook: size"):
+        from_dict({"codebook": {"size": size}})
+
+
+@pytest.mark.parametrize("hidden_dim", [0, -1])
+def test_model_section_is_range_checked(hidden_dim):
+    with pytest.raises(ConfigError, match="model: hidden_dim"):
+        from_dict({"model": {"hidden_dim": hidden_dim}})
+
+
+@pytest.mark.parametrize("training, field", [
+    ({"batch_size": 0}, "batch_size"),
+    ({"learning_rate": 0}, "learning_rate"),
+    ({"learning_rate": -1e-3}, "learning_rate"),
+    ({"iterations": -1}, "iterations"),
+    ({"jitter_fraction": -0.01}, "jitter_fraction"),
+    ({"teacher_forcing_prob": 1.5}, "teacher_forcing_prob"),
+    ({"teacher_forcing_prob": -0.1}, "teacher_forcing_prob"),
+    ({"teacher_forcing_onset": 1.01}, "teacher_forcing_onset"),
+    ({"teacher_forcing_onset": -0.5}, "teacher_forcing_onset"),
+    ({"window": 2}, "window"),
+    ({"clip_norm": 0}, "clip_norm"),
+    ({"clip_norm": -1.0}, "clip_norm"),
+])
+def test_training_section_is_range_checked(training, field):
+    with pytest.raises(ConfigError, match=f"training: {field}"):
+        from_dict({"training": training})
+
+
+def test_training_section_accepts_its_edges():
+    schedule = from_dict({"training": {
+        "iterations": 0, "batch_size": 1, "jitter_fraction": 0, "teacher_forcing_prob": 1,
+        "teacher_forcing_onset": 0, "window": 3, "clip_norm": 1e-9,
+    }}).training
+    assert (schedule.iterations, schedule.batch_size, schedule.window) == (0, 1, 3)
+    assert from_dict({"training": {"teacher_forcing_prob": 0, "teacher_forcing_onset": 1}})
+
+
+@pytest.mark.parametrize("tracker_section, field", [
+    ({"gate_factor": 0}, "gate_factor"),
+    ({"gate_factor": -2.0}, "gate_factor"),
+])
+def test_tracker_section_is_range_checked(tracker_section, field):
+    with pytest.raises(ConfigError, match=f"tracker: {field}"):
+        from_dict({"tracker": tracker_section})
+    # detector scores are not confined to [0, 1], so the threshold is free
+    assert from_dict({"tracker": {"min_detection_confidence": -5.0}})
+
+
 def test_nullable_fields_accept_null():
     cfg = from_dict({"training": {"clip_norm": None, "window": None}})
     assert cfg.training.clip_norm is None
@@ -341,6 +392,14 @@ def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):
                "--out", str(tmp_path / "b.csv"), "--samples", "-3"])
     assert rc == 3
     assert "num_samples" in capsys.readouterr().err
+
+
+def test_out_of_range_codebook_size_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"codebook": {"size": 0}}))
+    rc = main(["fit-codebook", "--config", str(bad), "--out", str(tmp_path / "book.npz")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

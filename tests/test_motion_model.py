@@ -20,7 +20,7 @@ from gaptrack import (
     save_weights,
     step,
 )
-from gaptrack.motion_model import PROB_FLOOR, inverse_cdf, sample_batch
+from gaptrack.motion_model import PROB_FLOOR, _sigmoid, inverse_cdf, sample_batch
 
 
 def step_one(weights, hidden, cell, delta):
@@ -90,6 +90,29 @@ def test_input_standardization_applied_before_embedding():
     # standardized dx = (0.2 - 0.1) / 0.05 = 2.0
     c1 = 0.5 * math.tanh(2.0)
     assert cell[0] == pytest.approx(c1, abs=1e-12)
+
+
+def two_branch_sigmoid(x):
+    """The masked two-branch form: ``exp`` of -x where x >= 0, of x elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, 36.7, -36.7, 745.2]
+    grid = np.concatenate([edges, rng.normal(0.0, 4.0, 500), rng.normal(0.0, 60.0, 500)])
+    block = np.stack([grid, grid[::-1], grid], axis=1)[:, :2]  # strided, as the gate block is
+    for x in (grid, block):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # underflow to 0 is meant
+            got = _sigmoid(x)
+        want = two_branch_sigmoid(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_init_weights_shapes_and_forget_bias():

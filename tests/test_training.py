@@ -14,7 +14,10 @@ from gaptrack import (
     next_step_accuracy,
     train,
 )
+from gaptrack import training
+from gaptrack.codebook import decode
 from gaptrack.errors import EmptyInputError
+from gaptrack.motion_model import head_outputs, lstm_core, sample_batch
 from gaptrack.training import loss_and_gradients, window_tracks
 
 FRAME = FrameGeometry(640.0, 480.0)
@@ -80,6 +83,62 @@ def test_loss_is_deterministic():
     assert a == b
     for name in weights.PARAM_NAMES:
         np.testing.assert_array_equal(grads_a[name], grads_b[name])
+
+
+def two_pass_forcing(weights, inputs, codebook, schedule, rng):
+    """Reference teacher forcing: its own recurrence, ahead of the loss's.
+
+    Returns a copy of ``inputs`` in which, past the onset, each row took a
+    decoded sample of the previous step's prediction with probability
+    ``teacher_forcing_prob``; the loss then runs on the result.
+    """
+    p_tf = schedule.teacher_forcing_prob
+    b, t_len, _ = inputs.shape
+    onset = max(1, int(np.ceil(schedule.teacher_forcing_onset * t_len)))
+    if p_tf <= 0.0 or onset >= t_len:
+        return inputs
+    x = inputs.copy()
+    hdim = weights.config.hidden_dim
+    h = np.zeros((b, hdim))
+    c = np.zeros((b, hdim))
+    prev_probs = None
+    for t in range(t_len):
+        if t >= onset:
+            mask = rng.random(b) < p_tf
+            if mask.any():
+                idx = sample_batch(prev_probs[mask], rng)
+                x[mask, t] = decode(idx, codebook)
+        core = lstm_core(weights, x[:, t], h, c)
+        h, c = core["h"], core["c"]
+        if t >= onset - 1:
+            prev_probs = head_outputs(weights, h)[1]
+    return x
+
+
+@pytest.mark.parametrize("prob", [1.0, 0.2])
+def test_forcing_in_the_forward_pass_matches_two_pass_forcing(prob):
+    rng = np.random.default_rng(46)
+    config = ModelConfig(num_clusters=5, hidden_dim=6)
+    weights = init_weights(config, rng)
+    book = fit(rng.normal(0.0, 0.02, size=(200, 4)), k=5, seed=0)
+    groups = [g for steps in (4, 9) for g in random_groups(rng, 6, 5, batch=7, steps=steps)]
+    originals = [inputs.copy() for inputs, _, _ in groups]
+    schedule = TrainSchedule(teacher_forcing_prob=prob, teacher_forcing_onset=0.3)
+
+    ref_rng = np.random.default_rng(5)
+    forced = [(two_pass_forcing(weights, inputs, book, schedule, ref_rng), targets, aux)
+              for inputs, targets, aux in groups]
+    assert any(not np.array_equal(f[0], g[0]) for f, g in zip(forced, groups))
+    want_loss, want_grads = loss_and_gradients(weights, forced)
+
+    rng = np.random.default_rng(5)
+    loss, grads = loss_and_gradients(weights, groups, forcing=(book, schedule, rng))
+    assert loss == want_loss
+    for name in weights.PARAM_NAMES:
+        np.testing.assert_array_equal(grads[name], want_grads[name])
+    assert rng.random() == ref_rng.random()
+    for (inputs, _, _), original in zip(groups, originals):
+        np.testing.assert_array_equal(inputs, original)  # the forced copy is private
 
 
 def straight_tracks(n, length, speed, rng, growth=0.0):
@@ -155,6 +214,33 @@ def test_teacher_forcing_path_runs():
     )
     weights, trace = train(tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=8), schedule)
     assert np.isfinite(trace).all()
+
+
+def test_each_iteration_runs_the_recurrence_once(monkeypatch):
+    rng = np.random.default_rng(47)
+    tracks = straight_tracks(3, 8, speed=2.5, rng=rng) + straight_tracks(3, 11, speed=2.5, rng=rng)
+    velocities = np.concatenate([np.diff(t.boxes, axis=0) / 640.0 for t in tracks])
+    book = fit(velocities, k=5, seed=2)
+    steps, cores = [], []
+    real_loss, real_core = training.loss_and_gradients, training.lstm_core
+
+    def counted_loss(weights, groups, *args, **kwargs):
+        steps.append(sum(inputs.shape[1] for inputs, _, _ in groups))
+        return real_loss(weights, groups, *args, **kwargs)
+
+    def counted_core(*args):
+        cores.append(1)
+        return real_core(*args)
+
+    monkeypatch.setattr(training, "loss_and_gradients", counted_loss)
+    monkeypatch.setattr(training, "lstm_core", counted_core)
+    schedule = TrainSchedule(
+        iterations=3, batch_size=6, teacher_forcing_prob=1.0, teacher_forcing_onset=0.3, seed=3
+    )
+    train(tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=8), schedule)
+    assert len(steps) == 3
+    # one core call per group per step per iteration, forcing included
+    assert len(cores) == sum(steps)
 
 
 def test_divergence_is_reported_with_iteration():
