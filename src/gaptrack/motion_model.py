@@ -11,11 +11,21 @@ Implemented directly on numpy arrays so the training module can
 differentiate every operation by hand. Distributions are (..., 4, K) arrays
 and cluster-index quadruples (..., 4) int arrays; :func:`step` is the
 inference step over a batch of states, built on :func:`cell_forward`.
+
+Training (:func:`head_outputs`) and inference (:func:`cell_forward`) share
+one softmax: one ``exp`` of the max-shifted logits, probabilities as that
+over its row sum, and log-probabilities as the shifted logits minus the log
+of the sum, with no log-softmax followed by a second ``exp``. Inference
+skips the residual read-out, which only the training loss reads. Sampling
+(:func:`inverse_cdf`) is a two-level search: first the block of
+``floor(sqrt(K))`` cells a uniform falls in, then the cell inside it, so no
+full K-wide cumulative sum is taken per draw.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,13 +168,12 @@ def lstm_core(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: 
     }
 
 
-def head_outputs(weights: ModelWeights, h: np.ndarray):
-    """Cluster log-probabilities, probabilities, and residual read-out.
+def _softmax_heads(weights: ModelWeights, h: np.ndarray):
+    """Per-component log-probabilities and probabilities of hidden states ``h``.
 
-    ``h`` may be (B, H) or (B, T, H); heads apply along the last axis, so a
-    whole sequence of hidden states is projected in one call. The logits
-    are one (N, H) @ (H, C*K) product, and the softmax works in place on
-    them and on one ``exp`` buffer.
+    The logits are one (N, H) @ (H, C*K) product. After the max-shift, the
+    probabilities are their one ``exp`` divided by its row sum, and the
+    log-probabilities are the shifted logits minus the log of that sum.
     """
     n_comp, hdim, n_cells = weights.head_w.shape
     log_probs = h.reshape(-1, hdim) @ weights.head_w.transpose(1, 0, 2).reshape(hdim, n_comp * n_cells)
@@ -172,23 +181,36 @@ def head_outputs(weights: ModelWeights, h: np.ndarray):
     log_probs += weights.head_b
     log_probs -= log_probs.max(axis=-1, keepdims=True)
     probs = np.exp(log_probs)
-    log_probs -= np.log(np.sum(probs, axis=-1, keepdims=True))
-    np.exp(log_probs, out=probs)
-    res = h @ weights.res_w + weights.res_b
-    return log_probs, probs, res
+    total = np.sum(probs, axis=-1, keepdims=True)
+    probs /= total
+    log_probs -= np.log(total)
+    return log_probs, probs
+
+
+def head_outputs(weights: ModelWeights, h: np.ndarray):
+    """Cluster log-probabilities, probabilities, and residual read-out, for training.
+
+    ``h`` may be (B, H) or (B, T, H); heads apply along the last axis, so a
+    whole sequence of hidden states is projected in one call. The two
+    distributions come from the softmax :func:`cell_forward` uses, so both
+    agree bit for bit when given the same array of hidden states; the
+    residual read-out is the one extra product, read only by the training
+    loss.
+    """
+    log_probs, probs = _softmax_heads(weights, h)
+    return log_probs, probs, h @ weights.res_w + weights.res_b
 
 
 def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> dict:
-    """One batched LSTM step with heads; see :func:`lstm_core`.
+    """One batched inference step with heads; see :func:`lstm_core`.
 
     The returned dict additionally holds the per-component cluster
-    log-probabilities/probabilities and the residual read-out.
+    ``log_probs`` and ``probs``, from the one ``exp`` of the shared softmax.
+    It has no residual read-out: only the training loss reads that, through
+    :func:`head_outputs`.
     """
     out = lstm_core(weights, x, h_prev, c_prev)
-    log_probs, probs, res = head_outputs(weights, out["h"])
-    out["log_probs"] = log_probs
-    out["probs"] = probs
-    out["res"] = res
+    out["log_probs"], out["probs"] = _softmax_heads(weights, out["h"])
     return out
 
 
@@ -229,11 +251,38 @@ def sample_batch(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Category of each (B, C) uniform under its (B, C, K) distribution; returns (B, C) int."""
-    k = probs.shape[2]
-    cdf = np.cumsum(probs, axis=2)
-    idx = np.sum(cdf < uniforms[:, :, None], axis=2)
-    return np.minimum(idx, k - 1)
+    """Category of each (B, C) uniform under its (B, C, K) distribution; returns (B, C) int.
+
+    The category is ``min(#{cdf < u}, K - 1)`` for the cumulative sum
+    ``cdf`` of the row, found in two levels rather than from the full K-wide
+    cumulative sum. The cells are cut into blocks of ``w = floor(sqrt(K))``
+    (the last one zero-padded when ``w`` does not divide K), whose sums are
+    one matrix-vector product. A cumulative sum over the blocks gives the
+    block the uniform falls in, and a cumulative sum over that block alone,
+    started from the mass before it, gives the cell. A uniform beyond the
+    row's total mass lands in the last cell.
+    """
+    b, c, k = probs.shape
+    w = math.isqrt(k)
+    n_blocks = -(-k // w)
+    if n_blocks * w != k:
+        padded = np.zeros((b, c, n_blocks * w))
+        padded[:, :, :k] = probs
+        probs = padded
+    cells = probs.reshape(b * c * n_blocks, w)
+    # start[r, j]: mass of row r before block j, the first block's start being 0
+    start = np.zeros((b * c, n_blocks))
+    sums = (cells @ np.ones(w)).reshape(b * c, n_blocks)
+    np.cumsum(sums[:, :-1], axis=1, out=start[:, 1:])
+    u = uniforms.reshape(b * c, 1)
+    # Counting only the starts of blocks 1.. caps the block at the last one.
+    block = np.count_nonzero(start[:, 1:] < u, axis=1)
+    flat = np.arange(0, b * c * n_blocks, n_blocks) + block
+    inner = cells[flat]
+    inner[:, 0] += start.reshape(-1)[flat]
+    cdf = np.cumsum(inner, axis=1)
+    idx = block * w + np.count_nonzero(cdf < u, axis=1)
+    return np.minimum(idx, k - 1).reshape(b, c)
 
 
 def save_weights(path, weights: ModelWeights, codebook_checksum: str) -> None:

@@ -144,6 +144,20 @@ def test_every_training_wrap_is_called_by_train(tiny_model, clean_scene, monkeyp
     assert all(tracer.calls[target] > 0 for target in targets), tracer.calls
 
 
+def test_every_tracker_wrap_is_called_by_tracking(tiny_model, clean_scene, monkeypatch):
+    # a branch loop or advance routed around cell_forward or step would read 0 in the bench
+    weights, book = tiny_model
+    layers = _layers()
+    tracer = HookTracer(monkeypatch)
+    layers.install(tracer)
+    scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1, 2])
+    tracker.run_sequence(scene.detections, scene.meta, weights, book)
+    targets = [target for target, *_ in layers.WRAPS
+               if target.startswith(("gaptrack.scoring:", "gaptrack.tracker:"))]
+    assert {"gaptrack.scoring:cell_forward", "gaptrack.scoring:step"} <= set(targets)
+    assert all(tracer.calls[target] > 0 for target in targets), tracer.calls
+
+
 def test_cell_forward_returns_what_the_workloads_read(tiny_model):
     weights, book = tiny_model
     h = np.zeros((1, weights.config.hidden_dim))

@@ -20,7 +20,14 @@ from gaptrack import (
     save_weights,
     step,
 )
-from gaptrack.motion_model import PROB_FLOOR, _sigmoid, inverse_cdf, sample_batch
+from gaptrack.motion_model import (
+    PROB_FLOOR,
+    _sigmoid,
+    cell_forward,
+    head_outputs,
+    inverse_cdf,
+    sample_batch,
+)
 
 
 def step_one(weights, hidden, cell, delta):
@@ -199,10 +206,101 @@ def test_skewed_sampling_frequencies():
     np.testing.assert_allclose(freq, [0.7, 0.2, 0.1], atol=0.01)
 
 
+def full_cdf_inverse(probs, uniforms):
+    """Reference: ``min(#{cdf < u}, k - 1)`` on each row's full cumulative sum, row by row."""
+    k = probs.shape[2]
+    out = np.empty(uniforms.shape, dtype=int)
+    for r in np.ndindex(*uniforms.shape):
+        cdf = np.cumsum(probs[r])
+        out[r] = min(int(np.count_nonzero(cdf < uniforms[r])), k - 1)
+    return out
+
+
+def rows_with_zeros(rng, rows, k):
+    """(rows, 4, k) distributions with zero cells, the rest at least 1e-6 of mass.
+
+    Every row gets a run of zeros across the boundary of the first two
+    blocks; other cells are zeroed at random. The floor keeps the nonzero
+    steps of every cdf far wider than its rounding error.
+    """
+    w = math.isqrt(k)
+    probs = rng.dirichlet(np.full(k, 0.5), size=(rows, 4)) + 1e-6
+    probs[rng.random(probs.shape) < 0.25] = 0.0
+    probs[:, :, max(w - 2, 0) : w + 2] = 0.0
+    probs[:, :, rng.integers(k)] = 1.0  # no row is all zeros
+    return probs / probs.sum(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 100, 256])
+def test_inverse_cdf_matches_the_full_cumsum(k):
+    rng = np.random.default_rng(40 + k)
+    for rows in (1, 2, 17, 60, 180):
+        probs = rows_with_zeros(rng, rows, k)
+        uniforms = rng.random((rows, 4))
+        uniforms[0, 0] = 0.0
+        np.testing.assert_array_equal(inverse_cdf(probs, uniforms), full_cdf_inverse(probs, uniforms))
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 100, 256])
+def test_inverse_cdf_at_block_boundaries(k):
+    # u just below and just above the mass of every block prefix, and u = 0
+    rng = np.random.default_rng(50 + k)
+    w = math.isqrt(k)
+    probs = rows_with_zeros(rng, 3, k)
+    ends = np.cumsum(probs, axis=2)[:, :, w - 1 :: w]  # (3, 4, blocks)
+    edges = np.concatenate([ends * (1.0 - 1e-9), ends * (1.0 + 1e-9), np.zeros((3, 4, 1))], axis=2)
+    for j in range(edges.shape[2]):
+        uniforms = edges[:, :, j]
+        np.testing.assert_array_equal(inverse_cdf(probs, uniforms), full_cdf_inverse(probs, uniforms))
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 100, 256])
+def test_inverse_cdf_past_a_short_total_gives_the_last_cell(k):
+    rng = np.random.default_rng(60 + k)
+    probs = rows_with_zeros(rng, 5, k) * (1.0 - 1e-6)
+    total = probs.sum(axis=2)
+    for uniforms in (total * (1.0 + 1e-9), (total + 1.0) / 2.0, np.nextafter(np.ones((5, 4)), 0.0)):
+        assert np.all(inverse_cdf(probs, uniforms) == k - 1)
+        np.testing.assert_array_equal(inverse_cdf(probs, uniforms), full_cdf_inverse(probs, uniforms))
+
+
+def test_inverse_cdf_skips_zero_cells():
+    # u = 0 is the first cell even when it is empty; any positive u is never an empty cell
+    probs = np.zeros((1, 4, 9))
+    probs[0, :, 4] = 0.5
+    probs[0, :, 7] = 0.5
+    np.testing.assert_array_equal(inverse_cdf(probs, np.array([[0.0, 1e-12, 0.5, 0.5 + 1e-12]])),
+                                  [[0, 4, 4, 7]])
+
+
+def test_cell_forward_heads_equal_the_training_heads_bit_for_bit():
+    weights = init_weights(ModelConfig(num_clusters=256, hidden_dim=48), np.random.default_rng(70))
+    weights.head_w = weights.head_w * 8.0  # confident rows exercise the max-shift
+    rng = np.random.default_rng(71)
+    for rows in (1, 13, 60):
+        h, c = np.tanh(rng.normal(0.0, 1.0, (2, rows, 48)))
+        out = cell_forward(weights, rng.normal(0.0, 0.5, (rows, 4)), h, c)
+        log_probs, probs, res = head_outputs(weights, out["h"])
+        assert "res" not in out
+        assert res.shape == (rows, 4)
+        np.testing.assert_array_equal(out["probs"].view(np.uint64), probs.view(np.uint64))
+        np.testing.assert_array_equal(out["log_probs"].view(np.uint64), log_probs.view(np.uint64))
+        np.testing.assert_allclose(out["probs"].sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(out["log_probs"]), out["probs"], rtol=0.0, atol=1e-12)
+
+
 def test_step_rejects_overflow():
     weights = scalar_model()
     weights.embed_w = weights.embed_w * 1e300
     weights.input_scale = np.full(4, 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError):
+            step(weights, np.zeros((2, 1)), np.zeros((2, 1)), np.full((2, 4), 0.5))
+
+
+def test_step_rejects_non_finite_heads():
+    weights = scalar_model()
+    weights.head_w = weights.head_w * np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError):
             step(weights, np.zeros((2, 1)), np.zeros((2, 1)), np.full((2, 4), 0.5))
