@@ -54,7 +54,8 @@ lookahead = [
 ]
 
 params = InpaintParams(num_samples=12, t_trs=2, sampling="multinomial")
-# the branches draw from the stream of (params.seed, tracklet 1, frame 24)
+# the branches draw from the stream of (params.seed, tracklet 1, frame 21),
+# keyed by the first frame of the gap rather than the current frame
 candidates = sample_candidates(
     [tracklet], [gap], lookahead, params, weights, book, scene.geometry, 24,
 )

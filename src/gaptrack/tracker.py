@@ -7,9 +7,12 @@ and the surviving branch competes for the still-unassigned detections
 (pass 2). Each pass scores all of its tracklet-detection pairs in one
 ``score_detection`` call and gates the resulting cost matrix before the
 assignment. Pass 2 samples the branches of every gapped tracklet as one
-batch, each tracklet from its own stream keyed by its ID and the frame, and
-skips tracklets that cannot reach any current detection (see
-:mod:`gaptrack.scoring`). Every match of both passes then advances in one
+batch, each tracklet from its own stream keyed by its ID and the first frame
+of its gap, and skips tracklets that cannot reach any current detection (see
+:mod:`gaptrack.scoring`). A gapped tracklet keeps its branches from frame to
+frame of its gap, so each frame extends them by one step; the store is
+dropped when the tracklet is reattached or terminated, and at the end of
+:func:`run_sequence`. Every match of both passes then advances in one
 model step. New detections open tentative tracklets from the shared cold
 start, with no model call, and must be matched again before they count;
 confirmed tracklets survive a configurable number of missed frames before
@@ -255,6 +258,7 @@ def process_frame(
         tracklet.gap_length += 1
         if tracklet.gap_length > config.termination_gap:
             tracklet.status = STATUS_TERMINATED
+            tracklet.branch_store = None
             state.finished.append(tracklet)
             terminated.append(tracklet.tracklet_id)
         else:
@@ -326,6 +330,8 @@ def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | No
             process_frame(state, frame_index, by_frame.get(frame_index, []), future)
         )
 
+    for tracklet in state.tracklets:
+        tracklet.branch_store = None
     tracklets = sorted(
         (t for t in state.tracklets + state.finished if t.status != STATUS_TENTATIVE),
         key=lambda t: t.tracklet_id,

@@ -130,6 +130,16 @@ def test_gap_must_be_positive(tiny_model, clean_scene):
         sample_candidates([t, t], [3, 3], lookahead, params, weights, book, geometry, current)
 
 
+def test_gap_must_agree_with_the_frame(tiny_model, clean_scene):
+    # The stream is keyed by the gap's first frame, the tracklet's last frame
+    # plus one, so a gap that points elsewhere is refused.
+    weights, book = tiny_model
+    t, current, lookahead = gap_setup(clean_scene, weights, gap=3)
+    params = InpaintParams(num_samples=4)
+    with pytest.raises(SequencingError, match="gap of 2"):
+        sample_candidates([t], [2], lookahead, params, weights, book, clean_scene.geometry, current)
+
+
 def test_zero_samples_yields_no_candidates(tiny_model, clean_scene):
     weights, book = tiny_model
     t, current, lookahead = gap_setup(clean_scene, weights)
@@ -138,6 +148,15 @@ def test_zero_samples_yields_no_candidates(tiny_model, clean_scene):
     assert got == []
     assert inpaint([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
     assert inpaint([], [], lookahead, InpaintParams(), weights, book, clean_scene.geometry, current) == []
+
+
+def test_zero_samples_disables_top1_sampling_too(tiny_model, clean_scene):
+    weights, book = tiny_model
+    t, current, lookahead = gap_setup(clean_scene, weights)
+    params = InpaintParams(num_samples=0, sampling=SAMPLING_TOP1)
+    assert sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == []
+    assert inpaint([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
+    assert t.branch_store is None
 
 
 def test_top1_sampling_uses_a_single_branch(tiny_model, clean_scene):
@@ -532,27 +551,37 @@ def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
     box = BoundingBox(400.0, 400.0, 60.0, 60.0)
     params = InpaintParams(num_samples=7, iou_threshold=0.0, seed=13)
     lookahead = [[box]] * 3
-    current, gap, steps = 20, 3, 5
+    last_seen, gap, steps = 17, 3, 5
 
-    def paths(tracklet_id, others):
-        tracklets = [new_tracklet(tracklet_id, current - gap, box, start)]
+    def paths(tracklet_id, others, current=last_seen + gap):
+        tracklets = [new_tracklet(tracklet_id, last_seen, box, start)]
         tracklets += [new_tracklet(o, current - g, box, start) for o, g in others]
-        gaps = [gap] + [g for _, g in others]
+        gaps = [current - last_seen] + [g for _, g in others]
         cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
         return np.stack([c.path for c in cands if c.tracklet_id == tracklet_id])
 
-    u = branch_uniforms(params.seed, 5, current, steps, params.num_samples)
-    seq = np.random.SeedSequence(params.seed, spawn_key=(5, current))
+    def replay(u):
+        want = np.zeros((params.num_samples, len(u), 4))
+        last = np.tile(box.as_array(), (params.num_samples, 1))
+        dist = np.broadcast_to(start[1], (params.num_samples, 4, book.k))
+        for s in range(len(u)):
+            last = apply_velocity(last, decode(inverse_cdf(dist, u[s]), book), geometry)
+            want[:, s] = last
+        return want
+
+    # the stream is keyed by the first unobserved frame, not the current one
+    u = branch_uniforms(params.seed, 5, last_seen + 1, steps, params.num_samples)
+    seq = np.random.SeedSequence(params.seed, spawn_key=(5, last_seen + 1))
     assert np.array_equal(u, np.random.default_rng(seq).random((steps, params.num_samples, 4)))
-    want = np.zeros((params.num_samples, steps, 4))
-    last = np.tile(box.as_array(), (params.num_samples, 1))
-    dist = np.broadcast_to(start[1], (params.num_samples, 4, book.k))
-    for s in range(steps):
-        last = apply_velocity(last, decode(inverse_cdf(dist, u[s]), book), geometry)
-        want[:, s] = last
+    want = replay(u)
 
     alone = paths(5, [])
     assert np.array_equal(alone, want)
     assert np.array_equal(paths(5, [(2, 4), (9, 1), (7, 3)]), want)
     assert np.array_equal(paths(5, [(7, 3), (2, 4)]), want)
     assert not np.array_equal(paths(6, []), want)
+    # one frame later the same gap's paths are extended by one step
+    longer = paths(5, [(2, 4)], current=last_seen + gap + 1)
+    assert np.array_equal(longer[:, :steps], want)
+    assert np.array_equal(longer, replay(branch_uniforms(params.seed, 5, last_seen + 1, steps + 1,
+                                                         params.num_samples)))

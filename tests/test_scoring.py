@@ -10,8 +10,8 @@ from gaptrack import (
     advance,
     boxes_to_array,
     cold_start,
+    inpaint,
     new_tracklet,
-    sample_candidates,
     score_detection,
     step,
 )
@@ -211,17 +211,18 @@ def test_pass_scorer_floors_tiny_probabilities(tiny_model, clean_scene):
 
 
 def test_pass_scorer_on_inpainted_candidates(tiny_model, clean_scene):
-    # Pass 2 scores each bridge from its box and distribution before the
-    # current frame.
+    # Pass 2 scores each winning bridge from its box and distribution before
+    # the current frame; only inpaint's winners carry that distribution.
     weights, book = tiny_model
     geometry = clean_scene.geometry
-    t = grown_tracklet(clean_scene, weights, obj_id=2, upto=20)
+    tracklets = [grown_tracklet(clean_scene, weights, obj_id=obj, upto=20) for obj in (1, 2, 3)]
     current = 23
     dets = [d.box for d in clean_scene.detections if d.frame == current]
-    cands = sample_candidates([t], [3], [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
-                              weights, book, geometry, current)
-    origins = np.stack([c.origin for c in cands])
-    dists = np.stack([c.dist_at_scoring for c in cands])
+    winners = inpaint(tracklets, [3] * 3, [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
+                      weights, book, geometry, current)
+    assert all(w is not None for w in winners)
+    origins = np.stack([w.origin for w in winners])
+    dists = np.stack([w.dist_at_scoring for w in winners])
     det_array = boxes_to_array(dets)
 
     got = score_detection(origins, dists, det_array, geometry, book)
