@@ -128,6 +128,10 @@ class Tracklet:
     ``branch_store`` holds the sampled branches of the current gap while the
     tracklet is gapped (see :func:`sample_candidates`); committing a box
     through :func:`advance` or :func:`reattach` drops it.
+
+    The boxes are the only counters. A tentative tracklet dies at its first
+    missed frame, so its hit count is ``len(boxes)``; a gapped tracklet's gap
+    on frame ``f`` is ``f - last_frame``.
     """
 
     tracklet_id: int
@@ -135,8 +139,6 @@ class Tracklet:
     state: RecurrentState
     dist: np.ndarray
     status: str = STATUS_TENTATIVE
-    gap_length: int = 0
-    hits: int = 1
     branch_store: BranchStore | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -56,6 +56,10 @@ class SceneSpec:
             raise ConfigError("a scene needs at least 1 object and 3 frames")
         if not (0.0 <= self.detection_dropout < 1.0):
             raise ConfigError(f"detection_dropout must be in [0, 1), got {self.detection_dropout}")
+        for name in ("detection_jitter", "false_positive_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _sizes(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

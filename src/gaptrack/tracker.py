@@ -4,19 +4,22 @@ Each frame, tracklets seen on the previous frame compete for detections
 through the motion model's likelihood (pass 1). Tracklets that lost their
 object earlier get a second chance: sampled continuations bridge the gap,
 and the surviving branch competes for the still-unassigned detections
-(pass 2). Each pass scores all of its tracklet-detection pairs in one
-``score_detection`` call and gates the resulting cost matrix before the
-assignment. Pass 2 samples the branches of every gapped tracklet as one
-batch, each tracklet from its own stream keyed by its ID and the first frame
-of its gap, and skips tracklets that cannot reach any current detection (see
-:mod:`gaptrack.scoring`). A gapped tracklet keeps its branches from frame to
-frame of its gap, so each frame extends them by one step; the store is
-dropped when the tracklet is reattached or terminated, and at the end of
-:func:`run_sequence`. Every match of both passes then advances in one
-model step. New detections open tentative tracklets from the shared cold
-start, with no model call, and must be matched again before they count;
-confirmed tracklets survive a configurable number of missed frames before
-termination.
+(pass 2). Both passes bid through one routine, ``_assign``, which scores all
+of a pass's tracklet-detection pairs in one ``score_detection`` call, gates
+the resulting cost matrix and solves the assignment; its matches join one
+list of (tracklet, detection) pairs. Pass 2 samples the branches of every
+gapped tracklet as one batch, each tracklet from its own stream keyed by its
+ID and the first frame of its gap, and skips tracklets that cannot reach any
+current detection (see :mod:`gaptrack.scoring`). A gapped tracklet keeps its
+branches from frame to frame of its gap, so each frame extends them by one
+step; the store is dropped when the tracklet is reattached or terminated,
+and at the end of :func:`run_sequence`. Every match of both passes then
+advances in one model step. New detections open tentative tracklets from
+the shared cold start, with no model call, and must be matched again before
+they count: a tentative tracklet confirms once it holds
+``birth_confirmation`` boxes and dies at its first missed frame. A confirmed
+tracklet's gap on frame ``f`` is ``f`` minus its last frame, and it is
+terminated once that exceeds ``termination_gap``.
 
 ``process_frame`` is the online step and only reports commits on the current
 frame. ``run_sequence`` replays a whole sequence and assembles the final
@@ -152,10 +155,17 @@ def _detection_boxes(detections, min_confidence: float) -> list[BoundingBox]:
     return boxes
 
 
-def _gated(log_lik: np.ndarray, gate: float) -> np.ndarray:
-    """Costs (negative log-likelihoods) with every pair above the gate forbidden."""
-    cost = -log_lik
-    return np.where(cost <= gate, cost, FORBIDDEN)
+def _assign(
+    origins: np.ndarray, dists: np.ndarray, dets: np.ndarray, state: TrackerState
+) -> list[tuple[int, int]]:
+    """Score every bidder-detection pair, forbid those above the gate, and solve.
+
+    Both passes bid through here: ``origins`` (N, 4) and ``dists`` (N, 4, K)
+    describe the bidders, ``dets`` (M, 4) the detections they compete for.
+    Returns the matched (bidder row, detection row) pairs.
+    """
+    cost = -score_detection(origins, dists, dets, state.frame, state.codebook)
+    return solve(np.where(cost <= state.gate, cost, FORBIDDEN))
 
 
 def process_frame(
@@ -179,33 +189,19 @@ def process_frame(
     config = state.config
     boxes = _detection_boxes(detections, config.min_detection_confidence)
     det_array = boxes_to_array(boxes)
-
-    committed: list[tuple[int, BoundingBox, str]] = []
-    moves: list[tuple[Tracklet, BoundingBox]] = []
-    matched_dets: set[int] = set()
+    matches: list[tuple[Tracklet, int]] = []  # (tracklet, detection index), both passes
 
     # Pass 1: tracklets that were present on the previous frame.
     live = [t for t in state.tracklets if t.status in (STATUS_TENTATIVE, STATUS_ACTIVE)]
     if live and boxes:
-        log_lik = score_detection(
-            np.stack([t.last_box.box.as_array() for t in live]),
-            np.stack([t.dist for t in live]),
-            det_array, state.frame, state.codebook,
-        )
-        for i, j in solve(_gated(log_lik, state.gate)):
-            tracklet = live[i]
-            moves.append((tracklet, boxes[j]))
-            tracklet.hits += 1
-            tracklet.gap_length = 0
-            if tracklet.status == STATUS_TENTATIVE and tracklet.hits >= config.birth_confirmation:
-                tracklet.status = STATUS_ACTIVE
-            if tracklet.status == STATUS_ACTIVE:
-                committed.append((tracklet.tracklet_id, boxes[j], SOURCE_DETECTED))
-            matched_dets.add(j)
+        origins = np.stack([t.last_box.box.as_array() for t in live])
+        pairs = _assign(origins, np.stack([t.dist for t in live]), det_array, state)
+        matches = [(live[i], j) for i, j in pairs]
 
     # Pass 2: gapped tracklets bid for the leftovers through sampled bridges.
     gapped = [t for t in state.tracklets if t.status == STATUS_GAPPED]
-    remaining = [j for j in range(len(boxes)) if j not in matched_dets]
+    claimed = {j for _, j in matches}
+    remaining = [j for j in range(len(boxes)) if j not in claimed]
     if gapped and remaining and config.inpaint.num_samples > 0:
         lookahead = [
             det_array,
@@ -218,72 +214,54 @@ def process_frame(
         )
         bidders = [(t, cand) for t, cand in zip(gapped, winners) if cand is not None]
         if bidders:
-            log_lik = score_detection(
-                np.stack([cand.origin for _, cand in bidders]),
-                np.stack([cand.dist_at_scoring for _, cand in bidders]),
-                det_array[remaining], state.frame, state.codebook,
-            )
-            for i, j in solve(_gated(log_lik, state.gate)):
+            origins = np.stack([cand.origin for _, cand in bidders])
+            dists = np.stack([cand.dist_at_scoring for _, cand in bidders])
+            for i, j in _assign(origins, dists, det_array[remaining], state):
                 tracklet, candidate = bidders[i]
-                det = boxes[remaining[j]]
                 reattach(tracklet, candidate)
-                moves.append((tracklet, det))
-                tracklet.status = STATUS_ACTIVE
-                tracklet.hits += 1
-                tracklet.gap_length = 0
-                committed.append((tracklet.tracklet_id, det, SOURCE_DETECTED))
-                matched_dets.add(remaining[j])
+                matches.append((tracklet, remaining[j]))
 
     # Every match of both passes consumes its detection in one model step.
     # Rows go in tracklet-ID order, so the batch layout does not depend on
     # which pass matched whom.
-    moves.sort(key=lambda move: move[0].tracklet_id)
-    advance([t for t, _ in moves], [box for _, box in moves], frame_index, state.frame, state.weights)
-    matched_tracklets = {id(t) for t, _ in moves}
+    matches.sort(key=lambda match: match[0].tracklet_id)
+    advance([t for t, _ in matches], [boxes[j] for _, j in matches], frame_index, state.frame, state.weights)
 
-    # Lifecycle for everyone who went unmatched.
+    # Births: whatever no tracklet claimed opens a tentative tracklet.
+    claimed.update(j for _, j in matches)
+    born = []
+    for j in range(len(boxes)):
+        if j not in claimed:
+            state.tracklets.append(new_tracklet(state.next_id, frame_index, boxes[j], state.cold_start))
+            born.append(state.next_id)
+            state.next_id += 1
+
+    # Lifecycle. Tracklets run in ID order, and those holding a box on this
+    # frame are the matches of either pass and the births.
+    committed: list[tuple[int, BoundingBox, str]] = []
     survivors = []
     terminated = []
     for tracklet in state.tracklets:
-        if id(tracklet) in matched_tracklets:
+        if tracklet.last_frame == frame_index:
+            if tracklet.status != STATUS_TENTATIVE or len(tracklet.boxes) >= config.birth_confirmation:
+                tracklet.status = STATUS_ACTIVE
+                committed.append((tracklet.tracklet_id, tracklet.last_box.box, SOURCE_DETECTED))
             survivors.append(tracklet)
-            continue
-        if tracklet.status == STATUS_TENTATIVE:
+        elif tracklet.status == STATUS_TENTATIVE:
             continue  # one missed frame kills an unconfirmed tracklet
-        if tracklet.status == STATUS_ACTIVE:
-            tracklet.status = STATUS_GAPPED
-            tracklet.gap_length = 1
-            survivors.append(tracklet)
-            continue
-        tracklet.gap_length += 1
-        if tracklet.gap_length > config.termination_gap:
+        elif frame_index - tracklet.last_frame > config.termination_gap:
             tracklet.status = STATUS_TERMINATED
             tracklet.branch_store = None
             state.finished.append(tracklet)
             terminated.append(tracklet.tracklet_id)
         else:
+            tracklet.status = STATUS_GAPPED
             survivors.append(tracklet)
     state.tracklets = survivors
 
-    # Births: whatever no tracklet claimed opens a tentative tracklet.
-    born = []
-    for j in range(len(boxes)):
-        if j in matched_dets:
-            continue
-        tracklet = new_tracklet(state.next_id, frame_index, boxes[j], state.cold_start)
-        state.next_id += 1
-        if config.birth_confirmation <= 1:
-            tracklet.status = STATUS_ACTIVE
-            committed.append((tracklet.tracklet_id, boxes[j], SOURCE_DETECTED))
-        state.tracklets.append(tracklet)
-        born.append(tracklet.tracklet_id)
-
     state.last_frame_index = frame_index
     return FrameResult(
-        frame=frame_index,
-        committed=tuple(sorted(committed, key=lambda row: row[0])),
-        born=tuple(born),
-        terminated=tuple(terminated),
+        frame=frame_index, committed=tuple(committed), born=tuple(born), terminated=tuple(terminated)
     )
 
 
@@ -336,27 +314,28 @@ def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | No
         (t for t in state.tracklets + state.finished if t.status != STATUS_TENTATIVE),
         key=lambda t: t.tracklet_id,
     )
+    # Tracklets run in ID order, so every list below is ID-ascending. Each
+    # holds its detected birth box, so ``emitted`` is never empty.
     per_frame: dict[int, list[tuple[int, BoundingBox, str]]] = {}
-    first_frame: dict[int, int] = {}
-    final_frame: dict[int, int] = {}
+    born: dict[int, list[int]] = {}
+    ended: dict[int, list[int]] = {}
     for tracklet in tracklets:
         emitted = [
             tb for tb in tracklet.boxes
             if config.emit_inpainted or tb.source == SOURCE_DETECTED
         ]
-        if not emitted:
-            continue
-        first_frame[tracklet.tracklet_id] = emitted[0].frame
-        final_frame[tracklet.tracklet_id] = emitted[-1].frame
+        born.setdefault(emitted[0].frame, []).append(tracklet.tracklet_id)
+        ended.setdefault(emitted[-1].frame + 1, []).append(tracklet.tracklet_id)
         for tb in emitted:
             per_frame.setdefault(tb.frame, []).append((tracklet.tracklet_id, tb.box, tb.source))
 
-    frame_results = []
-    for frame_index in range(1, last_frame + 1):
-        rows = sorted(per_frame.get(frame_index, []), key=lambda row: row[0])
-        born = tuple(tid for tid, start in first_frame.items() if start == frame_index)
-        ended = tuple(tid for tid, stop in final_frame.items() if stop == frame_index - 1)
-        frame_results.append(
-            FrameResult(frame=frame_index, committed=tuple(rows), born=born, terminated=ended)
+    frame_results = [
+        FrameResult(
+            frame=frame_index,
+            committed=tuple(per_frame.get(frame_index, ())),
+            born=tuple(born.get(frame_index, ())),
+            terminated=tuple(ended.get(frame_index, ())),
         )
+        for frame_index in range(1, last_frame + 1)
+    ]
     return SequenceResult(frame_results=frame_results, online_results=online, tracklets=tracklets)

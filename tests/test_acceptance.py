@@ -210,7 +210,7 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
             [BoundingBox(*noisy[o][f]) for o in noisy if f < len(noisy[o])]
             for f in range(t_last + gap, t_last + gap + t_trs + 1)
         ]
-        # the bridge draws from the stream of (params.seed, obj, rejoin frame)
+        # the bridge draws from the stream of (params.seed, obj, first gap frame t_last + 2)
         [winner] = inpaint([tracklet], [gap], lookahead, params, weights, book,
                            scene.geometry, t_last + 1 + gap)
         if winner is None:

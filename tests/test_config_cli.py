@@ -7,6 +7,10 @@ exits 0, and leaves well-formed artifacts behind.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +107,13 @@ def test_value_types_are_checked():
     # the sections' own range checks report as config errors
     with pytest.raises(ConfigError, match="termination_gap"):
         from_dict({"tracker": {"termination_gap": 0}})
+    for scene in ({"false_positive_rate": -0.5}, {"false_positive_rate": float("nan")},
+                  {"detection_jitter": -1.0}, {"detection_jitter": float("nan")},
+                  {"detection_jitter": float("inf")}):
+        [field] = scene
+        with pytest.raises(ConfigError, match=f"scene: {field}"):
+            from_dict({"scene": scene})
+    assert from_dict({"scene": {"false_positive_rate": 0, "detection_jitter": 0}})
     # ints are fine where floats are expected
     assert from_dict({"training": {"learning_rate": 1}}).training.learning_rate == 1
 
@@ -379,6 +390,11 @@ def test_config_errors_exit_3(tmp_path, capsys):
     rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    # a scene's own range checks stop before numpy sees the value
+    bad.write_text(json.dumps({"scene": {"false_positive_rate": -0.5}}))
+    rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err and not (tmp_path / "scene").exists()
 
 
 def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):
@@ -438,3 +454,15 @@ def test_evaluate_rejects_a_malformed_gt_column_with_an_error_line(tmp_path, cap
     rc = main(["evaluate", "--gt", str(gt), "--results", str(results)])
     assert rc == 1
     assert f"error: {gt}:1: {message}" in capsys.readouterr().err
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy is a test-only oracle; the package and its entry points must not load it
+    code = (
+        "import sys, gaptrack, gaptrack.cli, gaptrack.config; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

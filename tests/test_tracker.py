@@ -240,3 +240,106 @@ def test_one_model_step_per_frame_and_none_for_births(tiny_model, clean_scene, m
         assert rows[frame_index - 2:] == [len(matched)]
         if frame_index == 33:
             assert any(t.boxes[-2].source == SOURCE_INPAINTED for t in matched)
+
+
+def _object_boxes(scene, obj):
+    """Ground-truth boxes of one object, frame 1 first (clean scenes detect them exactly)."""
+    return [BoundingBox(*map(float, row)) for row in scene.trajectories[obj]]
+
+
+@pytest.mark.parametrize("termination_gap", [1, 4, 10])
+def test_confirmed_tracklet_terminates_after_exactly_the_allowed_gap(tiny_model, clean_scene,
+                                                                     termination_gap):
+    weights, book = tiny_model
+    state = make_state(weights, book, clean_scene.geometry,
+                       TrackerConfig(termination_gap=termination_gap))
+    boxes = _object_boxes(clean_scene, 1)
+    last = 8
+    terminated_on = []
+    for frame_index in range(1, last + termination_gap + 4):
+        dets = [boxes[frame_index - 1]] if frame_index <= last else []
+        fr = process_frame(state, frame_index, dets)
+        if frame_index <= last:
+            assert [tid for tid, _, _ in fr.committed] == ([1] if frame_index >= 2 else [])
+        terminated_on += [frame_index] * len(fr.terminated)
+        assert fr.terminated in ((), (1,))
+    assert terminated_on == [last + termination_gap + 1]
+    assert [t.tracklet_id for t in state.finished] == [1]
+    assert state.finished[0].status == STATUS_TERMINATED and state.tracklets == []
+
+
+def test_first_online_commit_comes_on_the_confirming_detection(tiny_model, clean_scene):
+    weights, book = tiny_model
+    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(birth_confirmation=3))
+    boxes = _object_boxes(clean_scene, 2)
+    results = [process_frame(state, f, [boxes[f - 1]]) for f in range(1, 6)]
+    assert [fr.born for fr in results] == [(1,), (), (), (), ()]
+    assert [fr.committed for fr in results[:2]] == [(), ()]
+    for frame_index, fr in enumerate(results[2:], start=3):
+        assert fr.committed == ((1, boxes[frame_index - 1], SOURCE_DETECTED),)
+
+
+def test_tentative_tracklet_that_misses_once_never_emits(tiny_model, clean_scene):
+    weights, book = tiny_model
+    config = TrackerConfig(birth_confirmation=3)
+    state = make_state(weights, book, clean_scene.geometry, config)
+    boxes = _object_boxes(clean_scene, 1)
+    clutter = BoundingBox(850.0, 20.0, 40.0, 40.0)
+    clutter_frames = {3, 4, 6}  # matched once on frame 4, missed on frame 5
+    online = []
+    for frame_index in range(1, 12):
+        dets = [boxes[frame_index - 1]] + ([clutter] if frame_index in clutter_frames else [])
+        online.append(process_frame(state, frame_index, dets))
+    assert online[2].born == (2,) and online[3].born == ()  # frame 4 extends tracklet 2
+    assert 2 not in [t.tracklet_id for t in state.tracklets]
+    assert online[5].born == (3,)
+    assert all(tid == 1 for fr in online for tid, _, _ in fr.committed)
+
+    detections = [Detection(f, box, 1.0)
+                  for f in range(1, 12)
+                  for box in [boxes[f - 1]] + ([clutter] if f in clutter_frames else [])]
+    result = run_sequence(detections, clean_scene.meta, weights, book, config)
+    assert [t.tracklet_id for t in result.tracklets] == [1]
+    assert all(box != clutter for fr in result.frame_results for _, box, _ in fr.committed)
+
+
+def test_pass_two_reattach_commits_its_detection_online(tiny_model, clean_scene):
+    weights, book = tiny_model
+    scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1])
+    result = run_sequence(scene.detections, scene.meta, weights, book, TrackerConfig())
+    [bridged] = [t for t in result.tracklets
+                 if any(tb.source == SOURCE_INPAINTED for tb in t.boxes)]
+    tid = bridged.tracklet_id
+    by_frame = {tb.frame: tb for tb in bridged.boxes}
+    assert by_frame[33].source == SOURCE_DETECTED
+    online = {fr.frame: fr for fr in result.online_results}
+    assert (tid, by_frame[33].box, SOURCE_DETECTED) in online[33].committed
+    for frame_index in (30, 31, 32):
+        assert tid not in [row[0] for row in online[frame_index].committed]
+    assert tid not in online[33].born
+
+
+@pytest.mark.parametrize("emit_inpainted", [True, False])
+def test_final_emission_born_and_terminated_follow_the_emitted_boxes(tiny_model, clean_scene,
+                                                                     emit_inpainted):
+    weights, book = tiny_model
+    scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1, 4])
+    scene = drop_detections(scene, frames=range(50, 53), object_ids=[2])
+    scene = drop_detections(scene, frames=range(20, 81), object_ids=[3])
+    config = TrackerConfig(emit_inpainted=emit_inpainted)
+    result = run_sequence(scene.detections, scene.meta, weights, book, config)
+    assert any(tb.source == SOURCE_INPAINTED for t in result.tracklets for tb in t.boxes)
+
+    first, final = {}, {}
+    for t in result.tracklets:
+        frames = [tb.frame for tb in t.boxes if emit_inpainted or tb.source == SOURCE_DETECTED]
+        first[t.tracklet_id], final[t.tracklet_id] = frames[0], frames[-1]
+    assert min(final.values()) < scene.meta.length  # some tracklet ends inside the sequence
+    for fr in result.frame_results:
+        assert fr.born == tuple(sorted(tid for tid, f in first.items() if f == fr.frame))
+        assert fr.terminated == tuple(sorted(tid for tid, f in final.items() if f + 1 == fr.frame))
+        emitted = {tid for tid, _, _ in fr.committed}
+        assert set(fr.born) <= emitted
+        assert not emitted & set(fr.terminated)
+    born = [tid for fr in result.frame_results for tid in fr.born]
+    assert sorted(born) == sorted(first)
