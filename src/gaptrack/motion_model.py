@@ -12,11 +12,15 @@ differentiate every operation by hand. Distributions are (..., 4, K) arrays
 and cluster-index quadruples (..., 4) int arrays; :func:`step` is the
 inference step over a batch of states, built on :func:`cell_forward`.
 
-Training (:func:`head_outputs`) and inference (:func:`cell_forward`) share
-one softmax: one ``exp`` of the max-shifted logits, probabilities as that
-over its row sum, and log-probabilities as the shifted logits minus the log
-of the sum, with no log-softmax followed by a second ``exp``. Inference
-skips the residual read-out, which only the training loss reads. Sampling
+Inference (:func:`cell_forward`), :func:`head_outputs` and the training
+loss (:func:`target_head_outputs`) share one softmax: one ``exp`` of the
+max-shifted logits, probabilities as that over its row sum, and
+log-probabilities as the shifted logits minus the log of the sum, with no
+log-softmax followed by a second ``exp``. The loss reads one
+log-probability per row and component, so it picks its targets from the
+shifted logits before an in-place ``exp`` and never builds the full
+log-probability array. Inference skips the residual read-out, which only
+the training loss reads. Sampling
 (:func:`inverse_cdf`) is a two-level search: first the block of
 ``floor(sqrt(K))`` cells a uniform falls in, then the cell inside it, so no
 full K-wide cumulative sum is taken per draw.
@@ -168,18 +172,27 @@ def lstm_core(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: 
     }
 
 
+def _shifted_logits(weights: ModelWeights, h: np.ndarray) -> np.ndarray:
+    """Head logits of hidden states ``h`` as a fresh (..., C, K) array, each row's maximum shifted to 0.
+
+    The logits are one (N, H) @ (H, C*K) product plus the bias.
+    """
+    n_comp, hdim, n_cells = weights.head_w.shape
+    z = h.reshape(-1, hdim) @ weights.head_w.transpose(1, 0, 2).reshape(hdim, n_comp * n_cells)
+    z = z.reshape(*h.shape[:-1], n_comp, n_cells)
+    z += weights.head_b
+    z -= z.max(axis=-1, keepdims=True)
+    return z
+
+
 def _softmax_heads(weights: ModelWeights, h: np.ndarray):
     """Per-component log-probabilities and probabilities of hidden states ``h``.
 
-    The logits are one (N, H) @ (H, C*K) product. After the max-shift, the
-    probabilities are their one ``exp`` divided by its row sum, and the
-    log-probabilities are the shifted logits minus the log of that sum.
+    The probabilities are the one ``exp`` of the shifted logits divided by
+    its row sum, and the log-probabilities are the shifted logits minus the
+    log of that sum.
     """
-    n_comp, hdim, n_cells = weights.head_w.shape
-    log_probs = h.reshape(-1, hdim) @ weights.head_w.transpose(1, 0, 2).reshape(hdim, n_comp * n_cells)
-    log_probs = log_probs.reshape(*h.shape[:-1], n_comp, n_cells)
-    log_probs += weights.head_b
-    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    log_probs = _shifted_logits(weights, h)
     probs = np.exp(log_probs)
     total = np.sum(probs, axis=-1, keepdims=True)
     probs /= total
@@ -187,18 +200,40 @@ def _softmax_heads(weights: ModelWeights, h: np.ndarray):
     return log_probs, probs
 
 
+def _residual_readout(weights: ModelWeights, h: np.ndarray) -> np.ndarray:
+    return h @ weights.res_w + weights.res_b
+
+
 def head_outputs(weights: ModelWeights, h: np.ndarray):
-    """Cluster log-probabilities, probabilities, and residual read-out, for training.
+    """Cluster log-probabilities, probabilities, and residual read-out.
 
     ``h`` may be (B, H) or (B, T, H); heads apply along the last axis, so a
     whole sequence of hidden states is projected in one call. The two
     distributions come from the softmax :func:`cell_forward` uses, so both
     agree bit for bit when given the same array of hidden states; the
-    residual read-out is the one extra product, read only by the training
-    loss.
+    residual read-out is the one extra product.
     """
     log_probs, probs = _softmax_heads(weights, h)
-    return log_probs, probs, h @ weights.res_w + weights.res_b
+    return log_probs, probs, _residual_readout(weights, h)
+
+
+def target_head_outputs(weights: ModelWeights, h: np.ndarray, targets: np.ndarray):
+    """The training loss's heads: target log-probabilities, probabilities, residual read-out.
+
+    ``targets`` holds one cluster index per row of ``h`` and component,
+    shape ``h.shape[:-1] + (C,)``. The log-probabilities of those cells come
+    out as a (..., C, 1) array; the probabilities are the one (..., C, K)
+    array of shifted logits, exponentiated and normalised in place once the
+    targets are picked from it, so no full log-probability array is built.
+    Each value equals its entry in :func:`head_outputs` bit for bit.
+    """
+    probs = _shifted_logits(weights, h)
+    picked = np.take_along_axis(probs, targets[..., None], axis=-1)
+    np.exp(probs, out=probs)
+    total = np.sum(probs, axis=-1, keepdims=True)
+    probs /= total
+    picked -= np.log(total)
+    return picked, probs, _residual_readout(weights, h)
 
 
 def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> dict:
@@ -207,7 +242,7 @@ def cell_forward(weights: ModelWeights, x: np.ndarray, h_prev: np.ndarray, c_pre
     The returned dict additionally holds the per-component cluster
     ``log_probs`` and ``probs``, from the one ``exp`` of the shared softmax.
     It has no residual read-out: only the training loss reads that, through
-    :func:`head_outputs`.
+    :func:`target_head_outputs`.
     """
     out = lstm_core(weights, x, h_prev, c_prev)
     out["log_probs"], out["probs"] = _softmax_heads(weights, out["h"])

@@ -29,6 +29,8 @@ _SPEED_FRACTION = 0.002
 _MIN_SIZE = 40.0
 _MAX_SIZE = 120.0
 _MAX_GROWTH = 0.2  # total relative size change over the whole sequence
+# The largest width or height a box can reach; a frame side must hold it.
+_MAX_EXTENT = _MAX_SIZE * (1.0 + _MAX_GROWTH)
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,14 @@ class SceneSpec:
             value = getattr(self, name)
             if not 0.0 <= value < float("inf"):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not _MAX_EXTENT <= value < float("inf"):
+                raise ConfigError(
+                    f"{name} must be finite and hold the largest box ({_MAX_EXTENT:g} px), got {value}"
+                )
+        if not 0.0 < self.frame_rate < float("inf"):
+            raise ConfigError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
 
 
 def _sizes(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,18 @@ on the residual read-out (the continuous prediction ``delta_t + r_t`` of the
 next velocity). Gradients for every parameter are derived by hand and checked
 against finite differences in the test suite.
 
-Sequences are consumed as box tracks; each iteration re-extracts velocities
-after box jitter augmentation, prepends a zero seed velocity (the same token
-the tracker feeds a fresh single-box tracklet), quantizes targets against the
-codebook, and groups sequences of equal length into rectangular mini-batches.
-Scheduled teacher forcing happens inside the loss's forward pass: late steps
-may take a sample of the model's own previous prediction as input, drawn
-just before the recurrence consumes it, so each iteration runs the
-recurrence once.
+Sequences are consumed as box tracks; each iteration jitters the boxes of
+all the tracks it picked with one draw, extracts their velocities in one
+pass and quantizes the targets against the codebook in one call, then
+groups sequences of equal length into rectangular mini-batches whose inputs
+are the velocities behind a zero seed velocity (the same token the tracker
+feeds a fresh single-box tracklet). Scheduled teacher forcing happens inside
+the loss's forward pass: late steps may take a sample of the model's own
+previous prediction as input, drawn just before the recurrence consumes it,
+so each iteration runs the recurrence once. The loss builds one
+(B, T, C, K) array per group, the probabilities, and picks its targets
+before the in-place ``exp`` that makes them; Adam updates its moments and
+the weights in place.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .codebook import Codebook, decode, fit, quantize
 from .errors import EmptyInputError, TrainingDivergedError
-from .geometry import FrameGeometry, velocities_from_boxes
+from .geometry import FrameGeometry
 from .motion_model import (
     ModelConfig,
     ModelWeights,
@@ -32,6 +36,7 @@ from .motion_model import (
     init_weights,
     lstm_core,
     sample_batch,
+    target_head_outputs,
 )
 
 # Weight of the auxiliary residual regression term. The categorical heads
@@ -117,28 +122,32 @@ def window_tracks(runs, frame: FrameGeometry, window: int | None,
     return tracks
 
 
-def _jitter_boxes(boxes: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform +-fraction noise, positions scaled by box size, sizes multiplicative."""
-    eps = rng.uniform(-fraction, fraction, size=boxes.shape)
-    out = boxes.copy()
-    out[:, 0] += eps[:, 0] * boxes[:, 2]
-    out[:, 1] += eps[:, 1] * boxes[:, 3]
-    out[:, 2] *= 1.0 + eps[:, 2]
-    out[:, 3] *= 1.0 + eps[:, 3]
-    return out
-
-
-def _jittered_velocities(tracks, fraction: float, rng: np.random.Generator) -> np.ndarray:
+def _jittered_velocities(tracks, fraction: float, rng: np.random.Generator | None) -> np.ndarray:
     """Velocities of every track in order, each track's boxes jittered first.
 
-    The coupling between the codebook fit and training's standardization:
-    both see the velocities the jittered training inputs have. A ``fraction``
-    of 0 takes the clean velocities and draws nothing.
+    The coupling between the codebook fit, training's standardization and
+    every training batch: all see the velocities the jittered training
+    inputs have. One draw of uniform noise of +-``fraction`` jitters the
+    concatenated boxes (positions scaled by box size, sizes multiplicative),
+    the same numbers per-track draws in order would give, and one pass takes
+    the differences within each track. A ``fraction`` of 0 takes the clean
+    velocities and draws nothing.
     """
-    return np.concatenate([
-        velocities_from_boxes(_jitter_boxes(t.boxes, fraction, rng) if fraction > 0 else t.boxes, t.frame)
-        for t in tracks
-    ])
+    tracks = list(tracks)
+    lengths = np.array([len(t.boxes) for t in tracks])
+    boxes = np.concatenate([t.boxes for t in tracks])
+    first = np.zeros(len(boxes), dtype=bool)
+    first[np.cumsum(lengths) - lengths] = True
+    last = np.roll(first, -1)  # the box before a track's first is the previous track's last
+    if fraction > 0:
+        eps = rng.uniform(-fraction, fraction, size=boxes.shape)
+        jittered = boxes.copy()
+        jittered[:, 0] += eps[:, 0] * boxes[:, 2]
+        jittered[:, 1] += eps[:, 1] * boxes[:, 3]
+        jittered[:, 2:] *= 1.0 + eps[:, 2:]
+        boxes = jittered
+    scale = np.repeat([t.frame.scale for t in tracks], lengths - 1, axis=0)
+    return (boxes[~first] - boxes[~last]) / scale
 
 
 def fit_codebook(tracks, k: int, seed: int, jitter_fraction: float) -> Codebook:
@@ -155,29 +164,23 @@ def fit_codebook(tracks, k: int, seed: int, jitter_fraction: float) -> Codebook:
     return fit(samples, k, seed)
 
 
-def _track_to_sequence(boxes: np.ndarray, frame: FrameGeometry, codebook: Codebook):
-    """(inputs, targets, aux) for one track: seed-prefixed velocities and next-step labels."""
-    vel = velocities_from_boxes(boxes, frame)
-    inputs = np.vstack([np.zeros((1, 4)), vel[:-1]])
-    targets = quantize(vel, codebook)
-    return inputs, targets, vel.copy()
+def _group_by_length(vel: np.ndarray, cells: np.ndarray, steps: np.ndarray):
+    """Rectangular (inputs, targets, aux) groups of equal-length sequences, shortest first.
 
-
-def _group_by_length(triples):
-    """Stack equal-length sequences into rectangular (B, T, .) groups, shortest first."""
-    buckets: dict[int, list] = {}
-    for trip in triples:
-        buckets.setdefault(trip[0].shape[0], []).append(trip)
+    Sequence ``i`` owns the next ``steps[i]`` rows of the velocities ``vel``
+    and their cells ``cells``. A group stacks the sequences of one length in
+    their order: its targets are their cells, its aux targets their
+    velocities, and its inputs those velocities delayed by one step behind
+    a zero seed velocity.
+    """
+    starts = np.cumsum(steps) - steps
     groups = []
-    for t_len in sorted(buckets):
-        items = buckets[t_len]
-        groups.append(
-            (
-                np.stack([it[0] for it in items]),
-                np.stack([it[1] for it in items]),
-                np.stack([it[2] for it in items]),
-            )
-        )
+    for t_len in np.unique(steps):
+        rows = starts[steps == t_len][:, None] + np.arange(t_len)
+        aux = vel[rows]
+        inputs = np.zeros_like(aux)
+        inputs[:, 1:] = aux[:, :-1]
+        groups.append((inputs, cells[rows], aux))
     return groups
 
 
@@ -250,8 +253,7 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
         # Only the recurrence is sequential; heads apply to every step at once.
         hs = np.stack([k["h"] for k in caches], axis=1)     # (B, T, H)
         xss = np.stack([k["xs"] for k in caches], axis=1)   # (B, T, D)
-        log_probs, probs, res = head_outputs(weights, hs)   # (B, T, C, K)
-        picked = np.take_along_axis(log_probs, targets[..., None], axis=3)
+        picked, probs, res = target_head_outputs(weights, hs, targets)  # probs (B, T, C, K)
         nll_sum -= float(picked.sum())
         diff = xss + res - aux_s
         sq_sum += float(np.sum(diff * diff))
@@ -341,10 +343,11 @@ def train(
     """Train a fresh model on box tracks; returns (weights, per-iteration loss trace).
 
     Each iteration samples ``batch_size`` tracks with replacement, jitters
-    their boxes, extracts and quantizes velocities, and takes one Adam step
-    on the hand-derived gradients with per-parameter norm clipping. Teacher
-    forcing happens inside the forward pass of :func:`loss_and_gradients`,
-    which draws from ``rng`` after all of the iteration's jitter draws.
+    their boxes and extracts their velocities (:func:`_jittered_velocities`),
+    quantizes them, and takes one Adam step on the hand-derived gradients
+    with per-parameter norm clipping. Teacher forcing happens inside the
+    forward pass of :func:`loss_and_gradients`, which draws from ``rng``
+    after the iteration's jitter draw.
     Raises :class:`TrainingDivergedError` with the iteration index if the
     loss leaves the finite range. Deterministic given the dataset and
     ``schedule.seed``.
@@ -369,36 +372,50 @@ def train(
     weights.input_shift = stat_vel.mean(axis=0)
     weights.input_scale = np.maximum(stat_vel.std(axis=0), 1e-8)
 
-    adam_m = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
-    adam_v = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
+    # Adam's first and second moments and one scratch array per parameter
+    adam = {name: (np.zeros_like(arr), np.zeros_like(arr), np.empty_like(arr))
+            for name, arr in weights.params().items()}
+    steps = np.array([len(t.boxes) - 1 for t in dataset])
     trace: list[float] = []
 
     for it in range(schedule.iterations):
         picks = rng.integers(0, len(dataset), size=schedule.batch_size)
-        triples = []
-        for pick in picks:
-            track = dataset[int(pick)]
-            boxes = track.boxes
-            if schedule.jitter_fraction > 0.0:
-                boxes = _jitter_boxes(boxes, schedule.jitter_fraction, rng)
-            triples.append(_track_to_sequence(boxes, track.frame, codebook))
-        groups = _group_by_length(triples)
+        vel = _jittered_velocities([dataset[i] for i in picks], schedule.jitter_fraction, rng)
+        groups = _group_by_length(vel, quantize(vel, codebook), steps[picks])
         loss, grads = loss_and_gradients(weights, groups, forcing=(codebook, schedule, rng))
         if not np.isfinite(loss):
             raise TrainingDivergedError(iteration=it)
         _clip_gradients(grads, schedule.clip_norm)
-
-        step_idx = it + 1
-        lr = schedule.learning_rate
-        for name, param in weights.params().items():
-            g = grads[name]
-            adam_m[name] = _ADAM_BETA1 * adam_m[name] + (1.0 - _ADAM_BETA1) * g
-            adam_v[name] = _ADAM_BETA2 * adam_v[name] + (1.0 - _ADAM_BETA2) * g * g
-            m_hat = adam_m[name] / (1.0 - _ADAM_BETA1**step_idx)
-            v_hat = adam_v[name] / (1.0 - _ADAM_BETA2**step_idx)
-            param -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        _adam_step(weights, grads, adam, schedule.learning_rate, it + 1)
         trace.append(float(loss))
     return weights, trace
+
+
+def _adam_step(weights: ModelWeights, grads, adam, lr: float, step_idx: int) -> None:
+    """One Adam update of every parameter, in place; ``grads`` is overwritten.
+
+    Each operation is the one the textbook form ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g``, ``p -= lr m_hat / (sqrt(v_hat) + eps)``
+    performs, in the same order, so the weights keep their bits.
+    """
+    m_scale = 1.0 - _ADAM_BETA1**step_idx
+    v_scale = 1.0 - _ADAM_BETA2**step_idx
+    for name, param in weights.params().items():
+        g = grads[name]
+        m, v, buf = adam[name]
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, out=buf)
+        v *= _ADAM_BETA2
+        np.multiply(g, 1.0 - _ADAM_BETA2, out=buf)
+        buf *= g
+        v += buf
+        np.divide(v, v_scale, out=g)  # g becomes sqrt(v_hat) + eps
+        np.sqrt(g, out=g)
+        g += _ADAM_EPS
+        np.divide(m, m_scale, out=buf)
+        buf *= lr
+        buf /= g
+        param -= buf
 
 
 def next_step_accuracy(weights: ModelWeights, tracks, codebook: Codebook) -> float:
@@ -408,18 +425,21 @@ def next_step_accuracy(weights: ModelWeights, tracks, codebook: Codebook) -> flo
     held-out sanity gate for a trained model.
     """
     hdim = weights.config.hidden_dim
+    tracks = list(tracks)
+    if not tracks:
+        return 0.0
+    vel = _jittered_velocities(tracks, 0.0, None)
+    steps = np.array([len(t.boxes) - 1 for t in tracks])
     correct = 0
-    total = 0
-    for track in tracks:
-        inputs, targets, _ = _track_to_sequence(track.boxes, track.frame, codebook)
-        h = np.zeros((1, hdim))
-        c = np.zeros((1, hdim))
-        hs = []
-        for t in range(inputs.shape[0]):
-            out = lstm_core(weights, inputs[None, t], h, c)
-            h, c = out["h"], out["c"]
-            hs.append(h[0])
-        log_probs = head_outputs(weights, np.stack(hs))[0]
-        correct += int(np.sum(np.argmax(log_probs, axis=2) == targets))
-        total += targets.size
-    return correct / total if total else 0.0
+    for group_inputs, group_targets, _ in _group_by_length(vel, quantize(vel, codebook), steps):
+        for inputs, targets in zip(group_inputs, group_targets):  # one track at a time
+            h = np.zeros((1, hdim))
+            c = np.zeros((1, hdim))
+            hs = []
+            for t in range(inputs.shape[0]):
+                out = lstm_core(weights, inputs[None, t], h, c)
+                h, c = out["h"], out["c"]
+                hs.append(h[0])
+            log_probs = head_outputs(weights, np.stack(hs))[0]
+            correct += int(np.sum(np.argmax(log_probs, axis=2) == targets))
+    return correct / vel.size

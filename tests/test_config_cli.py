@@ -109,11 +109,15 @@ def test_value_types_are_checked():
         from_dict({"tracker": {"termination_gap": 0}})
     for scene in ({"false_positive_rate": -0.5}, {"false_positive_rate": float("nan")},
                   {"detection_jitter": -1.0}, {"detection_jitter": float("nan")},
-                  {"detection_jitter": float("inf")}):
+                  {"detection_jitter": float("inf")}, {"width": -100}, {"width": 1e-9},
+                  {"height": float("nan")}, {"height": float("inf")}, {"frame_rate": 0},
+                  {"frame_rate": float("inf")}):
         [field] = scene
         with pytest.raises(ConfigError, match=f"scene: {field}"):
             from_dict({"scene": scene})
     assert from_dict({"scene": {"false_positive_rate": 0, "detection_jitter": 0}})
+    # a frame side that just holds the largest box is fine
+    assert from_dict({"scene": {"width": 144, "height": 144}})
     # ints are fine where floats are expected
     assert from_dict({"training": {"learning_rate": 1}}).training.learning_rate == 1
 
@@ -391,10 +395,11 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "error:" in capsys.readouterr().err
     # a scene's own range checks stop before numpy sees the value
-    bad.write_text(json.dumps({"scene": {"false_positive_rate": -0.5}}))
-    rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err and not (tmp_path / "scene").exists()
+    for scene in ({"false_positive_rate": -0.5}, {"width": -100}, {"width": 1e-9}, {"frame_rate": 0}):
+        bad.write_text(json.dumps({"scene": scene}))
+        rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err and not (tmp_path / "scene").exists()
 
 
 def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):

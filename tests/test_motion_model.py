@@ -27,6 +27,7 @@ from gaptrack.motion_model import (
     head_outputs,
     inverse_cdf,
     sample_batch,
+    target_head_outputs,
 )
 
 
@@ -287,6 +288,13 @@ def test_cell_forward_heads_equal_the_training_heads_bit_for_bit():
         np.testing.assert_array_equal(out["log_probs"].view(np.uint64), log_probs.view(np.uint64))
         np.testing.assert_allclose(out["probs"].sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(np.exp(out["log_probs"]), out["probs"], rtol=0.0, atol=1e-12)
+        # the loss's heads pick the same log-probabilities from the same softmax
+        targets = rng.integers(0, 256, (rows, 4))
+        picked, loss_probs, loss_res = target_head_outputs(weights, out["h"], targets)
+        want = np.take_along_axis(log_probs, targets[..., None], axis=2)
+        np.testing.assert_array_equal(picked.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(loss_probs.view(np.uint64), probs.view(np.uint64))
+        np.testing.assert_array_equal(loss_res.view(np.uint64), res.view(np.uint64))
 
 
 def test_step_rejects_overflow():

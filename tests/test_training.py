@@ -1,5 +1,7 @@
 """Training loop: analytic gradients, convergence, divergence detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from gaptrack import (
     train,
 )
 from gaptrack import training
-from gaptrack.codebook import decode
+from gaptrack.codebook import decode, quantize
 from gaptrack.errors import EmptyInputError
+from gaptrack.geometry import velocities_from_boxes
 from gaptrack.motion_model import head_outputs, lstm_core, sample_batch
-from gaptrack.training import loss_and_gradients, window_tracks
+from gaptrack.training import fit_codebook, loss_and_gradients, window_tracks
 
 FRAME = FrameGeometry(640.0, 480.0)
 
@@ -139,6 +142,175 @@ def test_forcing_in_the_forward_pass_matches_two_pass_forcing(prob):
     assert rng.random() == ref_rng.random()
     for (inputs, _, _), original in zip(groups, originals):
         np.testing.assert_array_equal(inputs, original)  # the forced copy is private
+
+
+# A reference of training as written before the loss stopped building the
+# full log-probability tensor: each picked track is jittered by its own draw
+# and made into a sequence on its own, the loss's heads are the full
+# log-probabilities of head_outputs indexed at the targets, and Adam's update
+# is written out of place. Only those parts are restated; the recurrence and
+# the backward pass are the library's. Training must match it bit for bit.
+
+def ref_jitter_boxes(boxes, fraction, rng):
+    eps = rng.uniform(-fraction, fraction, size=boxes.shape)
+    out = boxes.copy()
+    out[:, 0] += eps[:, 0] * boxes[:, 2]
+    out[:, 1] += eps[:, 1] * boxes[:, 3]
+    out[:, 2] *= 1.0 + eps[:, 2]
+    out[:, 3] *= 1.0 + eps[:, 3]
+    return out
+
+
+def ref_jittered_velocities(tracks, fraction, rng):
+    return np.concatenate([
+        velocities_from_boxes(ref_jitter_boxes(t.boxes, fraction, rng) if fraction > 0 else t.boxes, t.frame)
+        for t in tracks
+    ])
+
+
+def ref_groups(tracks, codebook):
+    """(inputs, targets, aux) per (boxes, frame) track, stacked by length, shortest first."""
+    buckets = {}
+    for boxes, frame in tracks:
+        vel = velocities_from_boxes(boxes, frame)
+        inputs = np.vstack([np.zeros((1, 4)), vel[:-1]])
+        buckets.setdefault(len(vel), []).append((inputs, quantize(vel, codebook), vel.copy()))
+    return [tuple(np.stack(parts) for parts in zip(*buckets[n])) for n in sorted(buckets)]
+
+
+def full_tensor_heads(weights, h, targets):
+    log_probs, probs, res = head_outputs(weights, h)
+    return np.take_along_axis(log_probs, targets[..., None], axis=3), probs, res
+
+
+def ref_loss_and_gradients(monkeypatch, weights, groups, forcing=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "target_head_outputs", full_tensor_heads)
+        return loss_and_gradients(weights, groups, forcing=forcing)
+
+
+def ref_train(monkeypatch, dataset, codebook, config, schedule):
+    rng = np.random.default_rng(schedule.seed)
+    weights = init_weights(config, rng)
+    stat_vel = ref_jittered_velocities(dataset, schedule.jitter_fraction, rng)
+    weights.input_shift = stat_vel.mean(axis=0)
+    weights.input_scale = np.maximum(stat_vel.std(axis=0), 1e-8)
+    adam_m = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
+    adam_v = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
+    b1, b2, eps = training._ADAM_BETA1, training._ADAM_BETA2, training._ADAM_EPS
+    trace = []
+    for it in range(schedule.iterations):
+        picks = rng.integers(0, len(dataset), size=schedule.batch_size)
+        picked = []
+        for pick in picks:
+            track = dataset[int(pick)]
+            boxes = track.boxes
+            if schedule.jitter_fraction > 0.0:
+                boxes = ref_jitter_boxes(boxes, schedule.jitter_fraction, rng)
+            picked.append((boxes, track.frame))
+        loss, grads = ref_loss_and_gradients(monkeypatch, weights, ref_groups(picked, codebook),
+                                             forcing=(codebook, schedule, rng))
+        training._clip_gradients(grads, schedule.clip_norm)
+        step_idx = it + 1
+        for name, param in weights.params().items():
+            g = grads[name]
+            adam_m[name] = b1 * adam_m[name] + (1.0 - b1) * g
+            adam_v[name] = b2 * adam_v[name] + (1.0 - b2) * g * g
+            m_hat = adam_m[name] / (1.0 - b1**step_idx)
+            v_hat = adam_v[name] / (1.0 - b2**step_idx)
+            param -= schedule.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        trace.append(float(loss))
+    return weights, trace
+
+
+def ref_next_step_accuracy(weights, tracks, codebook):
+    hdim = weights.config.hidden_dim
+    correct = total = 0
+    for track in tracks:
+        [(inputs, targets, _)] = ref_groups([(track.boxes, track.frame)], codebook)
+        h = c = np.zeros((1, hdim))
+        hs = []
+        for t in range(inputs.shape[1]):
+            out = lstm_core(weights, inputs[:, t], h, c)
+            h, c = out["h"], out["c"]
+            hs.append(h[0])
+        correct += int(np.sum(np.argmax(head_outputs(weights, np.stack(hs))[0], axis=2) == targets[0]))
+        total += targets.size
+    return correct / total
+
+
+def random_walk_tracks(rng, lengths):
+    """Random-walk box tracks of the given lengths, alternating between two frame sizes."""
+    frames = (FRAME, FrameGeometry(1920.0, 1080.0))
+    tracks = []
+    for i, n in enumerate(lengths):
+        start = rng.uniform([0.0, 0.0, 30.0, 40.0], [300.0, 200.0, 90.0, 120.0])
+        moves = rng.normal(0.0, [3.0, 3.0, 0.5, 0.5], size=(n - 1, 4))
+        tracks.append(TrainingTrack(np.vstack([start, start + np.cumsum(moves, axis=0)]), frames[i % 2]))
+    return tracks
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [5, 256])
+@pytest.mark.parametrize("prob", [0.0, 0.5])
+def test_loss_matches_the_full_tensor_reference(monkeypatch, k, prob):
+    rng = np.random.default_rng(49)
+    weights = init_weights(ModelConfig(num_clusters=k, hidden_dim=16), rng)
+    book = fit(rng.normal(0.0, 0.01, size=(400, 4)), k=k, seed=0)
+    tracks = random_walk_tracks(rng, [7] + [12] * 2 + [25] * 7)  # groups of 1, 2 and 7 tracks
+    groups = ref_groups([(t.boxes, t.frame) for t in tracks], book)
+    assert [len(g[0]) for g in groups] == [1, 2, 7]
+    schedule = TrainSchedule(teacher_forcing_prob=prob, teacher_forcing_onset=0.3)
+
+    def forcing():
+        return (book, schedule, np.random.default_rng(6)) if prob else None
+
+    loss, grads = loss_and_gradients(weights, groups, forcing=forcing())
+    want_loss, want_grads = ref_loss_and_gradients(monkeypatch, weights, groups, forcing=forcing())
+    assert_same_bits(loss, want_loss)
+    for name in weights.PARAM_NAMES:
+        assert_same_bits(grads[name], want_grads[name])
+
+
+@pytest.mark.parametrize("k", [5, 256])
+@pytest.mark.parametrize("prob", [0.0, 0.5])
+def test_training_matches_the_per_track_reference(monkeypatch, k, prob):
+    rng = np.random.default_rng(50)
+    tracks = random_walk_tracks(rng, [5, 9, 9, 14, 14, 14, 20] + [25] * 14)
+    book = fit_codebook(tracks, k=k, seed=2, jitter_fraction=0.02)
+    reference_book = fit(ref_jittered_velocities(tracks, 0.02, np.random.default_rng(2)), k, 2)
+    assert book.k == k and book.checksum() == reference_book.checksum()
+    config = ModelConfig(num_clusters=k, hidden_dim=16)
+    schedule = TrainSchedule(iterations=3, batch_size=10, teacher_forcing_prob=prob,
+                             teacher_forcing_onset=0.3, seed=4)
+    weights, trace = train(tracks, book, config, schedule)
+    want_weights, want_trace = ref_train(monkeypatch, tracks, book, config, schedule)
+    assert_same_bits(trace, want_trace)
+    for name in weights.PARAM_NAMES + ("input_shift", "input_scale"):
+        assert_same_bits(getattr(weights, name), getattr(want_weights, name))
+    assert next_step_accuracy(weights, tracks, book) == ref_next_step_accuracy(weights, tracks, book)
+
+
+def test_loss_holds_one_head_tensor_per_group():
+    # the loss keeps the (B, T, C, K) probabilities for the backward pass and
+    # builds no log-probability tensor beside them; the LSTM caches and the
+    # backward's scratch take about one more tensor's worth at this size
+    rng = np.random.default_rng(51)
+    batch, steps, k = 24, 24, 256
+    weights = init_weights(ModelConfig(num_clusters=k, hidden_dim=48), rng)
+    groups = random_groups(rng, 48, k, batch=batch, steps=steps)
+    loss_and_gradients(weights, groups)
+    tracemalloc.start()
+    try:
+        loss_and_gradients(weights, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor = batch * steps * 4 * k * 8
+    assert peak < 2.5 * tensor, f"peak {peak / tensor:.2f} head tensors"
 
 
 def straight_tracks(n, length, speed, rng, growth=0.0):
