@@ -13,9 +13,7 @@ Run:  python3 demos/03_scoring_and_assignment.py
 import numpy as np
 
 from gaptrack import (
-    BoundingBox,
     FORBIDDEN,
-    boxes_to_array,
     ModelConfig,
     SceneSpec,
     TrainSchedule,
@@ -41,23 +39,24 @@ weights, _ = train(
 # two tracklets warmed up on the first 20 frames of objects 1 and 2,
 # both advanced by one batched model step per frame
 start = cold_start(weights)
-tracklets = [new_tracklet(obj, 1, BoundingBox(*scene.trajectories[obj][0]), start) for obj in (1, 2)]
+tracklets = [new_tracklet(obj, 1, scene.trajectories[obj][0], start) for obj in (1, 2)]
 for i in range(1, 20):
-    advance(tracklets, [BoundingBox(*scene.trajectories[t.tracklet_id][i]) for t in tracklets],
+    advance(tracklets, np.stack([scene.trajectories[t.tracklet_id][i] for t in tracklets]),
             i + 1, scene.geometry, weights)
 
-# frame 21 offers each object's true box plus one clutter detection
-detections = [
-    BoundingBox(*scene.trajectories[1][20]),
-    BoundingBox(*scene.trajectories[2][20]),
-    BoundingBox(700.0, 80.0, 60.0, 90.0),
-]
+# frame 21 offers each object's true box plus one clutter detection,
+# one (x, y, w, h) row each
+detections = np.array([
+    scene.trajectories[1][20],
+    scene.trajectories[2][20],
+    [700.0, 80.0, 60.0, 90.0],
+])
 
 gate = 2.0 * 4.0 * np.log(book.k)  # twice the uniform cost
 scores = score_detection(
-    np.stack([t.last_box.box.as_array() for t in tracklets]),
+    np.stack([t.last_box.box for t in tracklets]),
     np.stack([t.dist for t in tracklets]),
-    boxes_to_array(detections), scene.geometry, book,
+    detections, scene.geometry, book,
 )
 costs = np.where(-scores <= gate, -scores, FORBIDDEN)
 

@@ -9,8 +9,9 @@ agreeing best with a short lookahead window wins and its boxes fill the gap.
 Run:  python3 demos/04_gap_inpainting.py
 """
 
+import numpy as np
+
 from gaptrack import (
-    BoundingBox,
     ModelConfig,
     SceneSpec,
     TrainSchedule,
@@ -43,13 +44,13 @@ weights, _ = train(
 # has a detection again at frame 24; two more frames serve as lookahead
 obj = 2
 truth = scene.trajectories[obj]
-tracklet = new_tracklet(1, 1, BoundingBox(*truth[0]), cold_start(weights))
+tracklet = new_tracklet(1, 1, truth[0], cold_start(weights))
 for i in range(1, 20):
-    advance([tracklet], [BoundingBox(*truth[i])], i + 1, scene.geometry, weights)
+    advance([tracklet], truth[i : i + 1], i + 1, scene.geometry, weights)
 
 gap = 4  # frames 21, 22, 23 missing; frame 24 is the rejoin
 lookahead = [
-    [BoundingBox(*scene.trajectories[o][f]) for o in scene.trajectories]
+    np.stack([scene.trajectories[o][f] for o in scene.trajectories])
     for f in range(23, 26)  # every object's box at frames 24, 25, 26
 ]
 

@@ -31,11 +31,10 @@ from .mot_io import (
     read_labeled_boxes,
     write_results,
 )
-from .geometry import BoundingBox
 from .motion_model import load_weights, save_weights
 from .scoring import advance, cold_start, new_tracklet, sample_candidates
 from .synth import generate
-from .tracker import run_sequence
+from .tracker import detection_arrays, run_sequence
 from .training import TrainingTrack, fit_codebook, next_step_accuracy, train, window_tracks
 
 
@@ -203,14 +202,12 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
     if prefix + gap + t_trs > len(boxes):
         raise GaptrackError("prefix + gap + lookahead exceeds the scene length")
 
-    tracklet = new_tracklet(1, 1, BoundingBox(*boxes[0]), cold_start(weights))
+    tracklet = new_tracklet(1, 1, boxes[0], cold_start(weights))
     for i in range(1, prefix):
-        advance([tracklet], [BoundingBox(*boxes[i])], i + 1, scene.geometry, weights)
+        advance([tracklet], boxes[i : i + 1], i + 1, scene.geometry, weights)
     current = prefix + gap  # 1-based frame the tracklet tries to rejoin
-    by_frame: dict[int, list] = {}
-    for det in scene.detections:
-        by_frame.setdefault(det.frame, []).append(det.box)
-    lookahead = [by_frame.get(current + off, []) for off in range(t_trs + 1)]
+    by_frame = detection_arrays(scene.detections, -np.inf)  # every detection, unfiltered
+    lookahead = [by_frame.get(current + off, np.zeros((0, 4))) for off in range(t_trs + 1)]
 
     candidates = sample_candidates(
         [tracklet], [gap], lookahead, cfg.tracker.inpaint, weights, book, scene.geometry, current

@@ -9,7 +9,8 @@ velocities comparable across video resolutions.
 Every operation here works on arrays whose last axis holds the four box or
 velocity components and broadcasts over the leading axes, so one call
 serves a single pair, one pass's (N, M) pairs or a batch of branches.
-:class:`BoundingBox` is the validated record for boxes read from files.
+:class:`BoundingBox` is the validated record for boxes read from files and
+for the boxes a tracker run hands back; in between, boxes are array rows.
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ def apply_velocity(prev: np.ndarray, delta: np.ndarray, frame: FrameGeometry) ->
     not validated: a width or height may come out non-positive.
     """
     return prev + delta * frame.scale
-
-
-def boxes_to_array(boxes) -> np.ndarray:
-    """Stack BoundingBox objects into an (N, 4) float array."""
-    if len(boxes) == 0:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.stack([b.as_array() for b in boxes])
 
 
 def velocities_from_boxes(boxes: np.ndarray, frame: FrameGeometry) -> np.ndarray:

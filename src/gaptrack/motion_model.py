@@ -95,7 +95,7 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class RecurrentState:
-    """LSTM hidden and cell vectors plus the number of velocities consumed.
+    """LSTM hidden and cell vectors.
 
     Treated as an immutable value: stepping returns a fresh state and never
     writes into an existing one, so branch exploration can share states
@@ -104,7 +104,6 @@ class RecurrentState:
 
     hidden: np.ndarray
     cell: np.ndarray
-    steps_consumed: int = 0
 
 
 def init_weights(config: ModelConfig, rng: np.random.Generator) -> ModelWeights:
@@ -134,7 +133,7 @@ def init_weights(config: ModelConfig, rng: np.random.Generator) -> ModelWeights:
 
 def init_state(weights: ModelWeights) -> RecurrentState:
     h = weights.config.hidden_dim
-    return RecurrentState(hidden=np.zeros(h), cell=np.zeros(h), steps_consumed=0)
+    return RecurrentState(hidden=np.zeros(h), cell=np.zeros(h))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .codebook import Codebook, decode, quantize
 from .errors import NumericOverflowError, SequencingError
-from .geometry import BoundingBox, FrameGeometry, apply_velocity, boxes_to_array, iou_matrix, velocity
+from .geometry import FrameGeometry, apply_velocity, iou_matrix, velocity
 from .motion_model import (
     ModelWeights,
     RecurrentState,
@@ -79,7 +79,7 @@ def t_trs_for_frame_rate(frame_rate: float) -> int:
 
 class TrackletBox(NamedTuple):
     frame: int
-    box: BoundingBox
+    box: np.ndarray  # (4,) row: x, y, w, h
     source: str
 
 
@@ -118,9 +118,11 @@ class InpaintParams:
         return t_trs_for_frame_rate(frame_rate) if self.t_trs is None else self.t_trs
 
 
-@dataclass
+@dataclass(eq=False)
 class Tracklet:
     """One tracked object: committed boxes plus cached model state.
+
+    Its boxes and state hold arrays, so tracklets compare by identity.
 
     ``state`` has consumed the zero seed velocity plus one velocity per
     committed transition; ``dist`` is the model's (4, K) predictive
@@ -163,13 +165,16 @@ def cold_start(weights: ModelWeights) -> tuple[RecurrentState, np.ndarray]:
     hidden, cell, probs = step(weights, zero.hidden[None], zero.cell[None], np.zeros((1, 4)))
     for arr in (hidden, cell, probs):
         arr.flags.writeable = False
-    return RecurrentState(hidden=hidden[0], cell=cell[0], steps_consumed=1), probs[0]
+    return RecurrentState(hidden=hidden[0], cell=cell[0]), probs[0]
 
 
 def new_tracklet(
-    tracklet_id: int, frame_index: int, box: BoundingBox, start: tuple[RecurrentState, np.ndarray]
+    tracklet_id: int, frame_index: int, box: np.ndarray, start: tuple[RecurrentState, np.ndarray]
 ) -> Tracklet:
-    """Start a tracklet from a single detection and the shared :func:`cold_start`."""
+    """Start a tracklet from one detection's (4,) box row and the shared :func:`cold_start`.
+
+    The tracklet keeps ``box`` itself, not a copy.
+    """
     state, dist = start
     return Tracklet(
         tracklet_id=tracklet_id,
@@ -200,12 +205,16 @@ def score_detection(
 
 def advance(
     tracklets: list[Tracklet],
-    boxes: list[BoundingBox],
+    boxes: np.ndarray,
     frame_index: int,
     frame: FrameGeometry,
     weights: ModelWeights,
 ) -> None:
-    """Append each tracklet's detection on ``frame_index``; one model step feeds every velocity."""
+    """Append each tracklet's detection on ``frame_index``; one model step feeds every velocity.
+
+    ``boxes`` is (N, 4), row ``i`` the detection of ``tracklets[i]``; each
+    tracklet keeps its row as its new last box.
+    """
     if len(tracklets) != len(boxes):
         raise ValueError(f"advance got {len(tracklets)} tracklets but {len(boxes)} boxes")
     if not tracklets:
@@ -215,17 +224,15 @@ def advance(
             raise SequencingError(
                 f"advance expects frame {tracklet.last_frame + 1}, got {frame_index}"
             )
-    origins = np.stack([t.last_box.box.as_array() for t in tracklets])
+    origins = np.stack([t.last_box.box for t in tracklets])
     hidden, cell, probs = step(
         weights,
         np.stack([t.state.hidden for t in tracklets]),
         np.stack([t.state.cell for t in tracklets]),
-        velocity(origins, boxes_to_array(boxes), frame),
+        velocity(origins, boxes, frame),
     )
     for i, (tracklet, box) in enumerate(zip(tracklets, boxes)):
-        tracklet.state = RecurrentState(
-            hidden=hidden[i], cell=cell[i], steps_consumed=tracklet.state.steps_consumed + 1
-        )
+        tracklet.state = RecurrentState(hidden=hidden[i], cell=cell[i])
         tracklet.dist = probs[i]
         tracklet.boxes.append(TrackletBox(frame_index, box, SOURCE_DETECTED))
         tracklet.branch_store = None
@@ -253,21 +260,11 @@ class InpaintCandidate:
     origin: np.ndarray
     sample_log_likelihood: float = 0.0
     iou_score: float = 0.0
-    rejected: bool = False
-    rejection_reason: str = ""
+    rejection_reason: str = ""  # empty for a surviving branch
 
     @property
-    def boxes(self) -> list[BoundingBox]:
-        """The path rows as boxes."""
-        return [BoundingBox(*map(float, row)) for row in self.path]
-
-
-def _as_box_array(boxes) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if len(boxes) == 0:
-        return np.zeros((0, 4))
-    return np.stack([b.as_array() if isinstance(b, BoundingBox) else np.asarray(b, dtype=np.float64) for b in boxes])
+    def rejected(self) -> bool:
+        return bool(self.rejection_reason)
 
 
 def branch_uniforms(seed: int, tracklet_id: int, gap_start: int, steps: int, branches: int) -> np.ndarray:
@@ -298,7 +295,7 @@ class BranchStore:
     whenever it cannot serve a call, and the draws are the same either way.
     """
 
-    key: tuple  # (seed, sampling, branches, tracklet ID, last committed box)
+    key: tuple  # (seed, sampling, branches, tracklet ID, last frame, *last committed box)
     state: RecurrentState  # tracklet state, distribution, weights and codebook it was
     dist: np.ndarray  # built from, compared by identity
     weights: ModelWeights
@@ -357,7 +354,7 @@ def _reaches_any(extent: np.ndarray, dets: np.ndarray) -> np.ndarray:
 def sample_candidates(
     tracklets: list[Tracklet],
     gaps,
-    lookahead,
+    lookahead: list[np.ndarray],
     params: InpaintParams,
     weights: ModelWeights,
     codebook: Codebook,
@@ -368,14 +365,14 @@ def sample_candidates(
 
     ``gaps[i]`` is how many frames tracklet ``i`` must move to reach the
     current frame ``frame_index``, which its last frame must agree with.
-    ``lookahead`` is a list of per-frame detection collections (boxes or
-    (M, 4) arrays) for the current frame and up to ``t_trs`` frames beyond
-    it (shorter near the sequence end). Each
-    branch is one trajectory per gap that autoregressively samples
-    velocities, decoding each sampled cluster quadruple to its centroids;
-    this call reads its first ``gap + len(lookahead) - 1`` steps. A branch
-    is rejected if its box at the current frame overlaps no detection there
-    at ``iou_threshold``, or if a sampled step degenerates the box.
+    ``lookahead`` is a list of per-frame (M, 4) detection arrays for the
+    current frame and up to ``t_trs`` frames beyond it (shorter near the
+    sequence end). Each branch is one trajectory per gap that
+    autoregressively samples velocities, decoding each sampled cluster
+    quadruple to its centroids; this call reads its first
+    ``gap + len(lookahead) - 1`` steps. A branch is rejected if its box at
+    the current frame overlaps no detection there at ``iou_threshold``, or
+    if a sampled step degenerates the box.
 
     The branches live in a :class:`BranchStore` on each tracklet
     (``branch_store``), so a call only samples the steps its store lacks:
@@ -408,17 +405,16 @@ def sample_candidates(
                 f"tracklet {t.tracklet_id} last seen on frame {t.last_frame} cannot have a gap of {g} "
                 f"on frame {frame_index}"
             )
-    det_arrays = [_as_box_array(dets) for dets in lookahead]
-    extra = len(det_arrays) - 1
+    extra = len(lookahead) - 1
     branches = min(1, params.num_samples) if params.sampling == SAMPLING_TOP1 else params.num_samples
     if branches == 0 or not tracklets:
         return []
 
     keep = range(len(tracklets))
     if params.iou_threshold > 0.0:
-        last = np.stack([t.last_box.box.as_array() for t in tracklets])
+        last = np.stack([t.last_box.box for t in tracklets])
         extent = reachable_extent(last, np.asarray(gaps), codebook, frame)
-        keep = np.flatnonzero(_reaches_any(extent, det_arrays[0]))
+        keep = np.flatnonzero(_reaches_any(extent, lookahead[0]))
     order = sorted(keep, key=lambda i: (-gaps[i], ids[i]))
     if not order:
         return []
@@ -442,7 +438,7 @@ def sample_candidates(
         snap_hid.append(store.hidden[slot])
         snap_cell.append(store.cell[slot])
         origin.append(np.where(
-            (before >= 0)[:, None], store.path[np.arange(branches), before], tracklet.last_box.box.as_array()
+            (before >= 0)[:, None], store.path[np.arange(branches), before], tracklet.last_box.box
         ))
     window = np.concatenate(window)
     snap_hid, snap_cell, origin = np.concatenate(snap_hid), np.concatenate(snap_cell), np.concatenate(origin)
@@ -457,7 +453,7 @@ def sample_candidates(
     at_current = np.zeros(rows)
     bridged = steps_done == row_gap + extra
     full = np.flatnonzero(bridged)
-    for f, dets in enumerate(det_arrays):
+    for f, dets in enumerate(lookahead):
         if full.size == 0 or dets.shape[0] == 0:
             continue
         overlap = iou_matrix(window[full, f], dets).max(axis=1)
@@ -480,15 +476,11 @@ def sample_candidates(
             branch_index=r % branches,
             gap=int(row_gap[r]),
             path=store.path[r % branches, : steps_done[r]],
-            state_at_scoring=RecurrentState(
-                hidden=snap_hid[r], cell=snap_cell[r],
-                steps_consumed=tracklet.state.steps_consumed + int(row_gap[r]) - 1,
-            ),
+            state_at_scoring=RecurrentState(hidden=snap_hid[r], cell=snap_cell[r]),
             dist_at_scoring=None,
             origin=origin[r],
             sample_log_likelihood=float(log_lik[r]),
             iou_score=float(iou_scores[r]),
-            rejected=bool(reason),
             rejection_reason=reason,
         ))
     return candidates
@@ -509,7 +501,8 @@ def _branch_store(
     A fresh store has taken no step: its ring holds the tracklet's own state
     in slot 0, repeated per branch, and keeps ``extra + 1`` states.
     """
-    key = (params.seed, params.sampling, branches, tracklet.tracklet_id, tracklet.last_box)
+    key = (params.seed, params.sampling, branches, tracklet.tracklet_id, tracklet.last_frame,
+           *tracklet.last_box.box.tolist())
     store = tracklet.branch_store
     if store is not None and store.serves(key, tracklet, weights, codebook, frame, need, extra):
         return store
@@ -526,7 +519,7 @@ def _branch_store(
         hidden=hidden,
         cell=cell,
         path=np.zeros((branches, 2 * need, 4)),
-        last=np.repeat(tracklet.last_box.box.as_array()[None], branches, axis=0),
+        last=np.repeat(tracklet.last_box.box[None], branches, axis=0),
         pending=np.zeros((branches, 4)),
         log_lik=np.zeros(branches),
         steps_done=np.zeros(branches, dtype=int),
@@ -639,7 +632,7 @@ def _check_finite(hidden: np.ndarray) -> None:
 def inpaint(
     tracklets: list[Tracklet],
     gaps,
-    lookahead,
+    lookahead: list[np.ndarray],
     params: InpaintParams,
     weights: ModelWeights,
     codebook: Codebook,
@@ -648,9 +641,11 @@ def inpaint(
 ) -> list[InpaintCandidate | None]:
     """Each tracklet's best surviving continuation, or None where every branch rejects.
 
-    Branches come from :func:`sample_candidates`, which extends each
-    tracklet's branch store; no other part of a tracklet is modified, and
-    committing a winner is the caller's decision. Survivors are ranked by
+    ``lookahead`` is the list of (M, 4) detection arrays, current frame
+    first, that :func:`sample_candidates` takes. The branches come from that
+    call, which extends each tracklet's branch store; no other part of a
+    tracklet is modified, and committing a winner is the caller's decision.
+    Survivors are ranked by
     summed best-IOU over the lookahead window; ties go to the higher
     accumulated sample log-likelihood, then the lower branch index. Only the
     winners get a ``dist_at_scoring``: the tracklet's own distribution for a
@@ -691,7 +686,8 @@ def reattach(tracklet: Tracklet, candidate: InpaintCandidate) -> Tracklet:
             f"candidate of tracklet {candidate.tracklet_id} cannot reattach tracklet {tracklet.tracklet_id}"
         )
     first_gap_frame = tracklet.last_frame + 1
-    for offset, box in enumerate(candidate.boxes[: candidate.gap - 1]):
+    # a copy, so the committed rows do not keep the store's path buffer alive
+    for offset, box in enumerate(candidate.path[: candidate.gap - 1].copy()):
         tracklet.boxes.append(TrackletBox(first_gap_frame + offset, box, SOURCE_INPAINTED))
     tracklet.state = candidate.state_at_scoring
     tracklet.dist = candidate.dist_at_scoring

@@ -21,6 +21,10 @@ they count: a tentative tracklet confirms once it holds
 tracklet's gap on frame ``f`` is ``f`` minus its last frame, and it is
 terminated once that exceeds ``termination_gap``.
 
+Boxes are (x, y, w, h) array rows: ``run_sequence`` groups the detection
+records into one (M, 4) array per frame, and :class:`BoundingBox` records
+appear again only where results leave, in :attr:`FrameResult.committed`.
+
 ``process_frame`` is the online step and only reports commits on the current
 frame. ``run_sequence`` replays a whole sequence and assembles the final
 per-frame output retroactively, so confirmed tracklets contribute their
@@ -38,7 +42,7 @@ import numpy as np
 from .assignment import FORBIDDEN, solve
 from .codebook import Codebook
 from .errors import SequencingError
-from .geometry import BoundingBox, FrameGeometry, boxes_to_array
+from .geometry import BoundingBox, FrameGeometry
 from .motion_model import ModelWeights, RecurrentState
 from .scoring import (
     SOURCE_DETECTED,
@@ -91,6 +95,9 @@ class TrackerConfig:
             raise ValueError(f"birth_confirmation must be >= 1, got {self.birth_confirmation}")
         if self.termination_gap < 1:
             raise ValueError(f"termination_gap must be >= 1, got {self.termination_gap}")
+        if math.isnan(self.min_detection_confidence):
+            # no score compares >= NaN, so every detection would be dropped
+            raise ValueError("min_detection_confidence must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ def make_state(
     codebook: Codebook,
     frame: FrameGeometry,
     config: TrackerConfig | None = None,
-    frame_rate: float = 30.0,
+    *,
+    frame_rate: float,
 ) -> TrackerState:
     config = config or TrackerConfig()
     gate = config.gate_factor * 4.0 * math.log(codebook.k)
@@ -143,16 +151,6 @@ def make_state(
         t_trs=config.inpaint.lookahead_frames(frame_rate),
         cold_start=cold_start(weights),
     )
-
-
-def _detection_boxes(detections, min_confidence: float) -> list[BoundingBox]:
-    boxes = []
-    for det in detections:
-        if isinstance(det, BoundingBox):
-            boxes.append(det)
-        elif det.confidence >= min_confidence:
-            boxes.append(det.box)
-    return boxes
 
 
 def _assign(
@@ -171,52 +169,46 @@ def _assign(
 def process_frame(
     state: TrackerState,
     frame_index: int,
-    detections,
+    detections: np.ndarray,
     future_detections=(),
 ) -> FrameResult:
     """Advance the tracker by one frame and return the online commits.
 
-    ``detections`` may be bare boxes or objects carrying ``box`` and
-    ``confidence`` (low-confidence ones are dropped). ``future_detections``
-    is an optional list of detection collections for the frames immediately
-    after this one; gap bridging uses them to rank sampled continuations and
-    works with whatever prefix of the lookahead window is available.
+    ``detections`` is the frame's (M, 4) array of (x, y, w, h) rows, already
+    filtered by confidence; the tracklets keep its rows as their boxes.
+    ``future_detections`` is an optional list of such arrays for the frames
+    immediately after this one; gap bridging uses them to rank sampled
+    continuations and works with whatever prefix of the lookahead window is
+    available.
     """
     if state.last_frame_index is not None and frame_index != state.last_frame_index + 1:
         raise SequencingError(
             f"process_frame expects frame {state.last_frame_index + 1}, got {frame_index}"
         )
     config = state.config
-    boxes = _detection_boxes(detections, config.min_detection_confidence)
-    det_array = boxes_to_array(boxes)
     matches: list[tuple[Tracklet, int]] = []  # (tracklet, detection index), both passes
 
     # Pass 1: tracklets that were present on the previous frame.
     live = [t for t in state.tracklets if t.status in (STATUS_TENTATIVE, STATUS_ACTIVE)]
-    if live and boxes:
-        origins = np.stack([t.last_box.box.as_array() for t in live])
-        pairs = _assign(origins, np.stack([t.dist for t in live]), det_array, state)
+    if live and len(detections):
+        origins = np.stack([t.last_box.box for t in live])
+        pairs = _assign(origins, np.stack([t.dist for t in live]), detections, state)
         matches = [(live[i], j) for i, j in pairs]
 
     # Pass 2: gapped tracklets bid for the leftovers through sampled bridges.
     gapped = [t for t in state.tracklets if t.status == STATUS_GAPPED]
     claimed = {j for _, j in matches}
-    remaining = [j for j in range(len(boxes)) if j not in claimed]
+    remaining = [j for j in range(len(detections)) if j not in claimed]
     if gapped and remaining and config.inpaint.num_samples > 0:
-        lookahead = [
-            det_array,
-            *(boxes_to_array(_detection_boxes(f, config.min_detection_confidence))
-              for f in future_detections),
-        ]
         winners = inpaint(
-            gapped, [frame_index - t.last_frame for t in gapped], lookahead, config.inpaint,
-            state.weights, state.codebook, state.frame, frame_index,
+            gapped, [frame_index - t.last_frame for t in gapped], [detections, *future_detections],
+            config.inpaint, state.weights, state.codebook, state.frame, frame_index,
         )
         bidders = [(t, cand) for t, cand in zip(gapped, winners) if cand is not None]
         if bidders:
             origins = np.stack([cand.origin for _, cand in bidders])
             dists = np.stack([cand.dist_at_scoring for _, cand in bidders])
-            for i, j in _assign(origins, dists, det_array[remaining], state):
+            for i, j in _assign(origins, dists, detections[remaining], state):
                 tracklet, candidate = bidders[i]
                 reattach(tracklet, candidate)
                 matches.append((tracklet, remaining[j]))
@@ -225,14 +217,14 @@ def process_frame(
     # Rows go in tracklet-ID order, so the batch layout does not depend on
     # which pass matched whom.
     matches.sort(key=lambda match: match[0].tracklet_id)
-    advance([t for t, _ in matches], [boxes[j] for _, j in matches], frame_index, state.frame, state.weights)
+    advance([t for t, _ in matches], detections[[j for _, j in matches]], frame_index, state.frame, state.weights)
 
     # Births: whatever no tracklet claimed opens a tentative tracklet.
     claimed.update(j for _, j in matches)
     born = []
-    for j in range(len(boxes)):
+    for j in range(len(detections)):
         if j not in claimed:
-            state.tracklets.append(new_tracklet(state.next_id, frame_index, boxes[j], state.cold_start))
+            state.tracklets.append(new_tracklet(state.next_id, frame_index, detections[j], state.cold_start))
             born.append(state.next_id)
             state.next_id += 1
 
@@ -245,7 +237,8 @@ def process_frame(
         if tracklet.last_frame == frame_index:
             if tracklet.status != STATUS_TENTATIVE or len(tracklet.boxes) >= config.birth_confirmation:
                 tracklet.status = STATUS_ACTIVE
-                committed.append((tracklet.tracklet_id, tracklet.last_box.box, SOURCE_DETECTED))
+                box = BoundingBox(*tracklet.last_box.box.tolist())
+                committed.append((tracklet.tracklet_id, box, SOURCE_DETECTED))
             survivors.append(tracklet)
         elif tracklet.status == STATUS_TENTATIVE:
             continue  # one missed frame kills an unconfirmed tracklet
@@ -279,33 +272,52 @@ class SequenceResult:
     tracklets: list[Tracklet]
 
 
+def _frame_records(detections, min_confidence: float) -> dict[int, list[BoundingBox]]:
+    """The boxes of ``detections`` with ``confidence >= min_confidence``, by frame, in input order."""
+    records: dict[int, list[BoundingBox]] = {}
+    for det in detections:
+        if det.confidence >= min_confidence:
+            records.setdefault(det.frame, []).append(det.box)
+    return records
+
+
+def _rows(boxes) -> np.ndarray:
+    """The (M, 4) array of the boxes' (x, y, w, h) rows, (0, 4) for none."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def detection_arrays(detections, min_confidence: float) -> dict[int, np.ndarray]:
+    """Each frame's detection boxes with ``confidence >= min_confidence``, as one (M, 4) array.
+
+    Rows keep the order of ``detections``; frames left without a box are absent.
+    """
+    return {frame: _rows(boxes) for frame, boxes in _frame_records(detections, min_confidence).items()}
+
+
 def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | None = None) -> SequenceResult:
     """Track a whole detection set against its sequence metadata.
 
-    Frames run from 1 to the sequence length (or the last detected frame if
-    later); empty frames still advance tracklet lifecycles. The final
-    emission is assembled from tracklet histories after the run, so early
-    boxes of eventually-confirmed tracklets appear and unconfirmed ones
-    vanish.
+    ``detections`` are records carrying ``frame``, ``box`` and
+    ``confidence``. This is where they become arrays: each frame's boxes
+    that pass ``min_detection_confidence`` are grouped into one (M, 4) array
+    (:func:`detection_arrays`), which that frame and the lookahead of the
+    frames before it share. Frames run from 1 to the sequence length (or the
+    last detected frame if later); empty frames still advance tracklet
+    lifecycles. The final emission is assembled from tracklet histories
+    after the run, so early boxes of eventually-confirmed tracklets appear
+    and unconfirmed ones vanish; its detected boxes are the input's own
+    ``box`` records, and only its inpainted boxes are new records.
     """
     config = config or TrackerConfig()
     state = make_state(weights, codebook, meta.geometry, config, frame_rate=meta.frame_rate)
-
-    by_frame: dict[int, list] = {}
-    last_frame = meta.length
-    for det in detections:
-        by_frame.setdefault(det.frame, []).append(det)
-        last_frame = max(last_frame, det.frame)
+    last_frame = max([meta.length, *(det.frame for det in detections)])
+    records = _frame_records(detections, config.min_detection_confidence)
+    frames = [_rows(records.get(f, ())) for f in range(1, last_frame + 1)]
 
     online = []
-    for frame_index in range(1, last_frame + 1):
-        future = [
-            by_frame.get(frame_index + offset, [])
-            for offset in range(1, state.t_trs + 1)
-            if frame_index + offset <= last_frame
-        ]
+    for frame_index, current in enumerate(frames, start=1):
         online.append(
-            process_frame(state, frame_index, by_frame.get(frame_index, []), future)
+            process_frame(state, frame_index, current, frames[frame_index : frame_index + state.t_trs])
         )
 
     for tracklet in state.tracklets:
@@ -314,6 +326,9 @@ def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | No
         (t for t in state.tracklets + state.finished if t.status != STATUS_TENTATIVE),
         key=lambda t: t.tracklet_id,
     )
+    # A detected box leaves as the input record its row was read from, found
+    # by value, so the output shares the input's records (and memory).
+    record_of = {f: {(b.x, b.y, b.w, b.h): b for b in boxes} for f, boxes in records.items()}
     # Tracklets run in ID order, so every list below is ID-ascending. Each
     # holds its detected birth box, so ``emitted`` is never empty.
     per_frame: dict[int, list[tuple[int, BoundingBox, str]]] = {}
@@ -327,7 +342,9 @@ def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | No
         born.setdefault(emitted[0].frame, []).append(tracklet.tracklet_id)
         ended.setdefault(emitted[-1].frame + 1, []).append(tracklet.tracklet_id)
         for tb in emitted:
-            per_frame.setdefault(tb.frame, []).append((tracklet.tracklet_id, tb.box, tb.source))
+            row = tb.box.tolist()
+            box = record_of[tb.frame][tuple(row)] if tb.source == SOURCE_DETECTED else BoundingBox(*row)
+            per_frame.setdefault(tb.frame, []).append((tracklet.tracklet_id, box, tb.source))
 
     frame_results = [
         FrameResult(

@@ -203,11 +203,11 @@ def test_a4_multinomial_sampling_beats_top1_on_curves():
     def bridge_iou(scene, noisy, obj, t_last, params):
         truth = scene.trajectories[obj]
         prefix = noisy[obj]
-        tracklet = new_tracklet(obj, 1, BoundingBox(*prefix[0]), start)
+        tracklet = new_tracklet(obj, 1, prefix[0], start)
         for t in range(1, t_last + 1):
-            advance([tracklet], [BoundingBox(*prefix[t])], t + 1, scene.geometry, weights)
+            advance([tracklet], prefix[t : t + 1], t + 1, scene.geometry, weights)
         lookahead = [
-            [BoundingBox(*noisy[o][f]) for o in noisy if f < len(noisy[o])]
+            np.stack([noisy[o][f] for o in noisy if f < len(noisy[o])])
             for f in range(t_last + gap, t_last + gap + t_trs + 1)
         ]
         # the bridge draws from the stream of (params.seed, obj, first gap frame t_last + 2)
@@ -264,10 +264,10 @@ def test_a5_uniform_model_log_likelihood():
         weights = init_weights(ModelConfig(num_clusters=k, hidden_dim=4), rng)
         for name in weights.PARAM_NAMES:
             getattr(weights, name)[:] = 0.0
-        tracklet = new_tracklet(1, 1, BoundingBox(10.0, 10.0, 20.0, 20.0), cold_start(weights))
+        tracklet = new_tracklet(1, 1, np.array([10.0, 10.0, 20.0, 20.0]), cold_start(weights))
         book = Codebook(centroids=np.tile(np.linspace(-0.1, 0.1, k), (4, 1)), k=k)
         got = score_detection(
-            tracklet.last_box.box.as_array()[None], tracklet.dist[None],
+            tracklet.last_box.box[None], tracklet.dist[None],
             np.array([[12.0, 11.0, 20.0, 20.0]]), FrameGeometry(640.0, 480.0), book,
         )[0, 0]
         want = 4.0 * math.log(1.0 / k)

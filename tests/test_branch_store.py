@@ -9,12 +9,14 @@ run one-row batches.
 """
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gaptrack import (
+    BoundingBox,
     InpaintParams,
     ModelConfig,
     SceneSpec,
@@ -30,7 +32,7 @@ from gaptrack import (
     tracker,
     train,
 )
-from gaptrack.scoring import SAMPLING_TOP1, STATUS_GAPPED
+from gaptrack.scoring import SAMPLING_TOP1, SOURCE_DETECTED, SOURCE_INPAINTED, STATUS_GAPPED
 from gaptrack.synth import drop_detections
 
 from test_inpaint import assert_same_candidate, gap_setup, object_boxes
@@ -109,7 +111,7 @@ def test_extending_a_gap_matches_sampling_it_fresh(tiny_model, clean_scene, monk
     params = InpaintParams(num_samples=30, iou_threshold=0.3, seed=7)
 
     def lookahead(current):
-        return [[object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories]
+        return [np.stack([object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories])
                 for f in range(3)]
 
     rows = model_rows(monkeypatch)
@@ -161,6 +163,61 @@ def test_a_changed_call_rebuilds_the_store(tiny_model, clean_scene, change):
     [a], [b] = (inpaint([x], [3], lookahead, params, weights, book, geometry, current) for x in (t, fresh))
     assert_same_candidate(a, b)
     assert (a is None) or np.array_equal(a.dist_at_scoring, b.dist_at_scoring)
+
+
+class CountedDetection:
+    """A detection record that counts how often its box is read."""
+
+    def __init__(self, det, reads):
+        self.frame, self.confidence, self._box, self._reads = det.frame, det.confidence, det.box, reads
+
+    @property
+    def box(self):
+        self._reads[id(self)] += 1
+        return self._box
+
+
+def test_each_frame_is_grouped_into_one_array_once(tiny_model, clean_scene, monkeypatch):
+    # run_sequence turns every detection record into an array row once; the
+    # frame's array then serves that frame and the lookahead of the frames
+    # before it, and no box goes back and forth through BoundingBox.as_array.
+    weights, book = tiny_model
+    scene = carved_scene(clean_scene)
+    reads = Counter()
+    detections = [CountedDetection(d, reads) for d in scene.detections]
+    as_array_calls = []
+    original_as_array = BoundingBox.as_array
+
+    def counted_as_array(box):
+        as_array_calls.append(box)
+        return original_as_array(box)
+
+    monkeypatch.setattr(BoundingBox, "as_array", counted_as_array)
+    passed = {}  # frame -> every array handed to process_frame for it
+    original = tracker.process_frame
+
+    def recorded(state, frame_index, current, future=()):
+        for offset, dets in enumerate([current, *future]):
+            passed.setdefault(frame_index + offset, []).append(dets)
+        return original(state, frame_index, current, future)
+
+    monkeypatch.setattr(tracker, "process_frame", recorded)
+    result = run_sequence(detections, scene.meta, weights, book, TrackerConfig())
+
+    assert as_array_calls == []
+    assert len(reads) == len(detections) and set(reads.values()) == {1}
+    assert set(passed) == set(range(1, scene.meta.length + 1))
+    for frame, arrays in passed.items():
+        assert all(dets is arrays[0] for dets in arrays[1:])
+        rows = [[d.box.x, d.box.y, d.box.w, d.box.h] for d in scene.detections if d.frame == frame]
+        assert np.array_equal(arrays[0], np.array(rows).reshape(-1, 4))
+    assert max(len(arrays) for arrays in passed.values()) == 4  # the frame plus a 3-frame lookahead
+    assert result.frame_results == output(scene, weights, book)[0]
+    # the final emission hands back the input's own records for detected
+    # boxes and builds new ones only for inpainted boxes
+    inputs = {id(d.box) for d in scene.detections}
+    kinds = {(id(box) in inputs, source) for fr in result.frame_results for _, box, source in fr.committed}
+    assert kinds == {(True, SOURCE_DETECTED), (False, SOURCE_INPAINTED)}
 
 
 def test_only_gapped_tracklets_hold_a_store(tiny_model, clean_scene, monkeypatch):

@@ -107,6 +107,12 @@ def test_value_types_are_checked():
     # the sections' own range checks report as config errors
     with pytest.raises(ConfigError, match="termination_gap"):
         from_dict({"tracker": {"termination_gap": 0}})
+    # no detector score compares >= NaN, so NaN would drop every detection;
+    # the infinities are allowed, since detector scores are unbounded
+    with pytest.raises(ConfigError, match="min_detection_confidence"):
+        from_dict(json.loads('{"tracker": {"min_detection_confidence": NaN}}'))
+    for bound in (float("inf"), -float("inf")):
+        assert from_dict({"tracker": {"min_detection_confidence": bound}}).tracker.min_detection_confidence == bound
     for scene in ({"false_positive_rate": -0.5}, {"false_positive_rate": float("nan")},
                   {"detection_jitter": -1.0}, {"detection_jitter": float("nan")},
                   {"detection_jitter": float("inf")}, {"width": -100}, {"width": 1e-9},
@@ -400,6 +406,10 @@ def test_config_errors_exit_3(tmp_path, capsys):
         rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
         assert rc == 3
         assert "error:" in capsys.readouterr().err and not (tmp_path / "scene").exists()
+    bad.write_text('{"tracker": {"min_detection_confidence": NaN}}')
+    rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
+    assert rc == 3
+    assert "min_detection_confidence" in capsys.readouterr().err and not (tmp_path / "scene").exists()
 
 
 def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):

@@ -10,7 +10,6 @@ from gaptrack import (
     GeometryError,
     apply_velocity,
     box_iou,
-    boxes_to_array,
     iou_matrix,
     velocities_from_boxes,
     velocity,
@@ -25,6 +24,11 @@ def random_box(rng, frame=FRAME):
     x = rng.uniform(-50.0, frame.width - w)
     y = rng.uniform(-50.0, frame.height - h)
     return BoundingBox(x, y, w, h)
+
+
+def random_boxes(rng, n, frame=FRAME):
+    """``n`` random boxes as one (n, 4) array."""
+    return np.stack([random_box(rng, frame).as_array() for _ in range(n)])
 
 
 def scalar_velocity(prev, nxt, frame):
@@ -67,8 +71,8 @@ def test_velocity_normalizes_each_axis_by_its_dimension():
 
 def test_apply_velocity_inverts_velocity():
     rng = np.random.default_rng(0)
-    prev = boxes_to_array([random_box(rng) for _ in range(200)])
-    nxt = boxes_to_array([random_box(rng) for _ in range(200)])
+    prev = random_boxes(rng, 200)
+    nxt = random_boxes(rng, 200)
     back = apply_velocity(prev, velocity(prev, nxt, FRAME), FRAME)
     np.testing.assert_allclose(back, nxt, rtol=0, atol=1e-9)
 
@@ -100,8 +104,8 @@ def test_iou_bounds():
     assert box_iou(a, [10.0, 0.0, 10.0, 10.0]) == 0.0
 
     rng = np.random.default_rng(1)
-    a = boxes_to_array([random_box(rng) for _ in range(300)])
-    b = boxes_to_array([random_box(rng) for _ in range(300)])
+    a = random_boxes(rng, 300)
+    b = random_boxes(rng, 300)
     v = box_iou(a, b)
     assert np.all((v >= 0.0) & (v <= 1.0))
     np.testing.assert_allclose(v, box_iou(b, a), rtol=1e-12)
@@ -111,7 +115,7 @@ def test_iou_matrix_matches_scalar():
     rng = np.random.default_rng(2)
     rows = [random_box(rng) for _ in range(7)]
     cols = [random_box(rng) for _ in range(5)]
-    mat = iou_matrix(boxes_to_array(rows), boxes_to_array(cols))
+    mat = iou_matrix(np.stack([b.as_array() for b in rows]), np.stack([b.as_array() for b in cols]))
     assert mat.shape == (7, 5)
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
@@ -120,13 +124,13 @@ def test_iou_matrix_matches_scalar():
 
 def test_box_iou_equals_iou_matrix_entries():
     rng = np.random.default_rng(4)
-    rows = boxes_to_array([random_box(rng) for _ in range(9)])
+    rows = random_boxes(rng, 9)
     # Overlapping, identical and edge-touching partners besides random ones.
     cols = np.concatenate([
         rows + rng.normal(0.0, 5.0, rows.shape) * [1, 1, 0, 0],
         rows[:3],
         rows[:3] + np.c_[rows[:3, 2], np.zeros((3, 3))],
-        boxes_to_array([random_box(rng) for _ in range(5)]),
+        random_boxes(rng, 5),
     ])
     mat = iou_matrix(rows, cols)
     assert (mat > 0).any() and (mat == 0).any() and (mat == 1).any()
@@ -136,16 +140,15 @@ def test_box_iou_equals_iou_matrix_entries():
     assert np.array_equal(box_iou(rows[4], cols), mat[4])
 
 
-def test_boxes_to_array_layout():
-    boxes = [BoundingBox(1.0, 2.0, 3.0, 4.0), BoundingBox(5.0, 6.0, 7.0, 8.0)]
-    arr = boxes_to_array(boxes)
-    np.testing.assert_array_equal(arr, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    assert boxes_to_array([]).shape == (0, 4)
+def test_as_array_layout():
+    arr = BoundingBox(1.0, 2.0, 3.0, 4.0).as_array()
+    assert arr.dtype == np.float64
+    np.testing.assert_array_equal(arr, [1, 2, 3, 4])
 
 
 def test_velocities_from_boxes_matches_pairwise():
     rng = np.random.default_rng(3)
-    boxes = np.stack([random_box(rng).as_array() for _ in range(10)])
+    boxes = random_boxes(rng, 10)
     vel = velocities_from_boxes(boxes, FRAME)
     assert vel.shape == (9, 4)
     for i in range(9):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gaptrack import (
-    BoundingBox,
     Codebook,
     FrameGeometry,
     InpaintParams,
@@ -35,6 +34,7 @@ from gaptrack.scoring import (
     reachable_extent,
     t_trs_for_frame_rate,
 )
+from gaptrack.tracker import detection_arrays
 
 
 def programmed_weights(book, favored):
@@ -65,14 +65,20 @@ def programmed_weights(book, favored):
 
 
 def object_boxes(scene, obj_id):
-    return [BoundingBox(*row) for row in scene.trajectories[obj_id]]
+    """One object's (x, y, w, h) rows, frame 1 first."""
+    return scene.trajectories[obj_id]
+
+
+def detected(scene, frame):
+    """The scene's detections on ``frame`` as one (M, 4) array."""
+    return detection_arrays(scene.detections, 0.0).get(frame, np.zeros((0, 4)))
 
 
 def grown_tracklet(scene, weights, obj_id, upto):
     boxes = object_boxes(scene, obj_id)
     t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        advance([t], [boxes[frame_index - 1]], frame_index, scene.geometry, weights)
+        advance([t], boxes[frame_index - 1 : frame_index], frame_index, scene.geometry, weights)
     return t
 
 
@@ -86,7 +92,7 @@ def gap_setup(scene, weights, obj_id=1, last_seen=20, gap=3, extra=2):
     t = grown_tracklet(scene, weights, obj_id, upto=last_seen)
     current = last_seen + gap
     lookahead = [
-        [object_boxes(scene, oid)[current - 1 + f] for oid in scene.trajectories]
+        np.stack([object_boxes(scene, oid)[current - 1 + f] for oid in scene.trajectories])
         for f in range(extra + 1)
     ]
     return t, current, lookahead
@@ -105,7 +111,6 @@ def assert_same_candidate(a, b):
                  (a.state_at_scoring.hidden, b.state_at_scoring.hidden),
                  (a.state_at_scoring.cell, b.state_at_scoring.cell)):
         assert np.array_equal(x, y)
-    assert a.state_at_scoring.steps_consumed == b.state_at_scoring.steps_consumed
 
 
 def test_lookahead_window_grows_with_frame_rate():
@@ -191,10 +196,10 @@ def test_surviving_branches_carry_full_paths(tiny_model, clean_scene):
     survivors = [c for c in got if not c.rejected]
     assert survivors, "sampler found no overlap on a clean constant-velocity gap"
     for cand in survivors:
-        assert len(cand.boxes) == gap + extra
-        # the dedicated scoring state snapshot sits one step before the
-        # current frame so a matched detection can be consumed next
-        assert cand.state_at_scoring.steps_consumed == t.state.steps_consumed + gap - 1
+        assert len(cand.path) == gap + extra
+        # the scoring origin sits one step before the current frame so a
+        # matched detection can be consumed next
+        assert np.array_equal(cand.origin, cand.path[gap - 2])
         assert cand.iou_score > 0.0
 
 
@@ -204,14 +209,14 @@ def test_all_branches_reject_when_nothing_overlaps(tiny_model, clean_scene):
     geometry = clean_scene.geometry
     params = InpaintParams(num_samples=10, iou_threshold=0.5, seed=2)
     # a speck inside the reachable extent overlaps every branch too little
-    last = t.last_box.box
-    speck = [[BoundingBox(last.x + 0.5 * last.w, last.y + 0.5 * last.h, 1.0, 1.0)]]
+    x, y, w, h = t.last_box.box
+    speck = [np.array([[x + 0.5 * w, y + 0.5 * h, 1.0, 1.0]])]
     got = sample_candidates([t], [2], speck, params, weights, book, geometry, 22)
     assert len(got) == 10
     assert {c.rejection_reason for c in got} == {"no overlap at current frame"}
     assert inpaint([t], [2], speck, params, weights, book, geometry, 22) == [None]
     # a detection beyond the reachable extent is not even sampled for
-    far = [[BoundingBox(900.0, 500.0, 20.0, 20.0)]]
+    far = [np.array([[900.0, 500.0, 20.0, 20.0]])]
     assert sample_candidates([t], [2], far, params, weights, book, geometry, 22) == []
     assert inpaint([t], [2], far, params, weights, book, geometry, 22) == [None]
 
@@ -227,7 +232,7 @@ def test_winner_bridges_toward_truth(tiny_model, clean_scene):
     # sampled gap boxes track the missing ground truth
     for offset in range(gap - 1):
         frame = t.last_frame + 1 + offset
-        assert box_iou(best.path[offset], truth[frame - 1].as_array()) > 0.5
+        assert box_iou(best.path[offset], truth[frame - 1]) > 0.5
     # selection maximizes summed lookahead overlap, then likelihood
     others = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry,
                                current)
@@ -249,15 +254,14 @@ def test_one_hot_model_reproduces_true_path_exactly():
         [0.0, 0.01],   # dh: 0 favored
     ]), k=2)
     weights = programmed_weights(book, favored=[1, 1, 0, 0])
-    t = new_tracklet(1, 10, BoundingBox(100.0, 100.0, 50.0, 50.0), cold_start(weights))
-    true_path = [BoundingBox(100.0 + 10.0 * i, 100.0 + 5.0 * i, 50.0, 50.0) for i in (1, 2, 3)]
-    lookahead = [[b] for b in true_path]
+    t = new_tracklet(1, 10, np.array([100.0, 100.0, 50.0, 50.0]), cold_start(weights))
+    true_path = np.array([[100.0 + 10.0 * i, 100.0 + 5.0 * i, 50.0, 50.0] for i in (1, 2, 3)])
+    lookahead = [row[None] for row in true_path]
 
     [best] = inpaint([t], [1], lookahead, InpaintParams(num_samples=5), weights, book, geometry, 11)
     assert best is not None
     assert best.iou_score == pytest.approx(3.0)  # t_trs + 1 with t_trs = 2
-    for got, want in zip(best.boxes, true_path):
-        np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-9)
+    np.testing.assert_allclose(best.path, true_path, atol=1e-9)
 
 
 def test_aligned_branch_beats_counter_moving_branch():
@@ -273,19 +277,19 @@ def test_aligned_branch_beats_counter_moving_branch():
         [-0.01, 0.0],
     ]), k=2)
     weights = programmed_weights(book, favored=[(0, 1), 1, 1, 1])
-    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), cold_start(weights))
+    t = new_tracklet(1, 10, np.array([500.0, 500.0, 100.0, 100.0]), cold_start(weights))
     np.testing.assert_allclose(t.dist[0], [0.5, 0.5], atol=1e-9)
 
-    true_dets = [BoundingBox(500.0 + 10.0 * i, 500.0, 100.0, 100.0) for i in (1, 2, 3)]
-    false_det = BoundingBox(490.0, 500.0, 100.0, 100.0)
-    lookahead = [[d, false_det] for d in true_dets]
+    true_dets = [[500.0 + 10.0 * i, 500.0, 100.0, 100.0] for i in (1, 2, 3)]
+    false_det = [490.0, 500.0, 100.0, 100.0]
+    lookahead = [np.array([d, false_det]) for d in true_dets]
     params = InpaintParams(num_samples=16, seed=3)
 
     cands = sample_candidates([t], [1], lookahead, params, weights, book, geometry, 11)
     patterns = set()
     for cand in cands:
         if not cand.rejected:
-            xs = tuple(b.x for b in cand.boxes)
+            xs = tuple(cand.path[:, 0].tolist())
             if xs == (510.0, 520.0, 530.0):
                 patterns.add("right")
             elif xs == (490.0, 480.0, 470.0):
@@ -293,7 +297,7 @@ def test_aligned_branch_beats_counter_moving_branch():
     assert patterns == {"right", "left"}, "seed must produce both branch kinds"
 
     [best] = inpaint([t], [1], lookahead, params, weights, book, geometry, 11)
-    assert [b.x for b in best.boxes] == [510.0, 520.0, 530.0]
+    assert best.path[:, 0].tolist() == [510.0, 520.0, 530.0]
     assert best.iou_score == pytest.approx(3.0)
 
 
@@ -307,7 +311,7 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     assert best is not None
 
     detection = truth[current - 1]
-    ll = score_detection(best.origin[None], best.dist_at_scoring[None], detection.as_array()[None],
+    ll = score_detection(best.origin[None], best.dist_at_scoring[None], detection[None],
                          clean_scene.geometry, book)
     assert ll.shape == (1, 1) and np.isfinite(ll[0, 0])
 
@@ -322,12 +326,14 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     assert len(t.boxes) == frames_before + gap - 1
     assert t.last_frame == current - 1
     assert t.state is best.state_at_scoring and t.dist is best.dist_at_scoring
-    advance([t], [detection], current, clean_scene.geometry, weights)
+    advance([t], detection[None], current, clean_scene.geometry, weights)
     tail = t.boxes[-gap:]
     assert [tb.frame for tb in tail] == list(range(current - gap + 1, current + 1))
     assert [tb.source for tb in tail] == [SOURCE_INPAINTED] * (gap - 1) + [SOURCE_DETECTED]
-    assert tail[-1].box == detection
-    assert t.state.steps_consumed == best.state_at_scoring.steps_consumed + 1
+    assert np.array_equal(tail[-1].box, detection)
+    assert len(t.boxes) == frames_before + gap
+    # the committed gap boxes are the winner's path rows
+    assert np.array_equal(np.stack([tb.box for tb in tail[:-1]]), best.path[: gap - 1])
     # frames stay contiguous across the whole history
     frames = [tb.frame for tb in t.boxes]
     assert frames == list(range(frames[0], frames[0] + len(frames)))
@@ -340,7 +346,7 @@ def per_branch_fate(cand, total_steps, current_dets, threshold):
     if len(cand.path) < total_steps:
         return "degenerate box"
     box = cand.path[cand.gap - 1]
-    best = max((float(box_iou(box, d.as_array())) for d in current_dets), default=0.0)
+    best = max((float(box_iou(box, d)) for d in current_dets), default=0.0)
     return "no overlap at current frame" if best < threshold else ""
 
 
@@ -353,13 +359,8 @@ def check_candidates(cands, tracklets, lookahead, threshold):
         fate = per_branch_fate(cand, gap + len(lookahead) - 1, lookahead[0], threshold)
         assert cand.rejection_reason == fate
         assert cand.rejected == (fate != "")
-        # the box views are the path rows
-        assert len(cand.boxes) == len(cand.path)
-        for box, row in zip(cand.boxes, cand.path):
-            assert box == BoundingBox(*row)
-            assert np.array_equal(box.as_array(), row)
         if not fate:
-            before = cand.path[gap - 2] if gap > 1 else tracklet.last_box.box.as_array()
+            before = cand.path[gap - 2] if gap > 1 else tracklet.last_box.box
             assert np.array_equal(cand.origin, before)
         fates.append(fate)
     return fates
@@ -385,7 +386,7 @@ def test_one_batch_applies_each_tracklets_own_gap(tiny_model, clean_scene):
     gaps = [1, 4, 2, 4, 3]
     tracklets = [grown_tracklet(clean_scene, weights, obj, current - g)
                  for obj, g in zip((1, 2, 3, 4, 5), gaps)]
-    lookahead = [[object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories]
+    lookahead = [np.stack([object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories])
                  for f in range(3)]
     params = InpaintParams(num_samples=8, iou_threshold=0.5, seed=9)
     cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book,
@@ -394,9 +395,6 @@ def test_one_batch_applies_each_tracklets_own_gap(tiny_model, clean_scene):
     want = sorted(zip(gaps, (t.tracklet_id for t in tracklets)), key=lambda p: (-p[0], p[1]))
     assert [(c.gap, c.tracklet_id, c.branch_index) for c in cands] == [
         (g, tid, b) for g, tid in want for b in range(8)]
-    by_id = {t.tracklet_id: t for t in tracklets}
-    for c in cands:
-        assert c.state_at_scoring.steps_consumed == by_id[c.tracklet_id].state.steps_consumed + c.gap - 1
     assert "" in check_candidates(cands, tracklets, lookahead, 0.5)
 
 
@@ -412,10 +410,10 @@ def test_rejections_cover_degenerate_and_empty_frames():
         [0.0, 0.01],
     ]), k=2)
     weights = programmed_weights(book, favored=[(0, 1), 0, (0, 1), 0])
-    t = new_tracklet(1, 10, BoundingBox(500.0, 500.0, 100.0, 100.0), cold_start(weights))
+    t = new_tracklet(1, 10, np.array([500.0, 500.0, 100.0, 100.0]), cold_start(weights))
     params = InpaintParams(num_samples=24, iou_threshold=0.7, seed=3)
-    dets = [BoundingBox(510.0 + 10.0 * i, 500.0, 100.0, 100.0) for i in range(3)]
-    lookahead = [[d] for d in dets]
+    dets = np.array([[510.0 + 10.0 * i, 500.0, 100.0, 100.0] for i in range(3)])
+    lookahead = [d[None] for d in dets]
     for gap in (1, 2):
         cands = sample_candidates([t], [gap], lookahead, params, weights, book, geometry, 10 + gap)
         fates = check_candidates(cands, [t], lookahead, 0.7)
@@ -423,11 +421,12 @@ def test_rejections_cover_degenerate_and_empty_frames():
 
     # a current frame with no detections leaves nothing to reach: every
     # branch would be rejected, so none is sampled
-    assert sample_candidates([t], [1], [[], dets[1:]], params, weights, book, geometry, 11) == []
+    empty_first = [np.zeros((0, 4)), dets[1:]]
+    assert sample_candidates([t], [1], empty_first, params, weights, book, geometry, 11) == []
     # without an overlap threshold nothing is pruned or rejected for overlap
-    cands = sample_candidates([t], [1], [[], dets[1:]], replace(params, iou_threshold=0.0),
+    cands = sample_candidates([t], [1], empty_first, replace(params, iou_threshold=0.0),
                               weights, book, geometry, 11)
-    assert set(check_candidates(cands, [t], [[], dets[1:]], 0.0)) == {"degenerate box", ""}
+    assert set(check_candidates(cands, [t], empty_first, 0.0)) == {"degenerate box", ""}
 
 
 def test_reachable_extent_holds_every_sampled_branch(tiny_model, clean_scene):
@@ -444,13 +443,12 @@ def test_reachable_extent_holds_every_sampled_branch(tiny_model, clean_scene):
         tracklets = [grown_tracklet(clean_scene, weights, o, current - g) for o, g in zip(objs, gaps)]
         # shift some tracklets off their objects so branches wander widely
         for t in tracklets[::2]:
-            box = t.last_box.box
-            t.boxes[-1] = t.boxes[-1]._replace(box=BoundingBox(
-                box.x + rng.uniform(-80, 80), box.y + rng.uniform(-80, 80), box.w, box.h))
-        lookahead = [[d.box for d in clean_scene.detections if d.frame == current]]
+            shift = [rng.uniform(-80, 80), rng.uniform(-80, 80), 0.0, 0.0]
+            t.boxes[-1] = t.boxes[-1]._replace(box=t.last_box.box + shift)
+        lookahead = [detected(clean_scene, current)]
         params = InpaintParams(num_samples=25, iou_threshold=0.0, seed=trial)
         cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
-        extent = reachable_extent(np.stack([t.last_box.box.as_array() for t in tracklets]),
+        extent = reachable_extent(np.stack([t.last_box.box for t in tracklets]),
                                   np.array(gaps), book, geometry)
         row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
         for cand in cands:
@@ -477,12 +475,12 @@ def test_reachable_extent_is_attained_by_extreme_branches():
     ]), k=3)
     weights = programmed_weights(book, favored=[(0, 2)] * 4)
     start = cold_start(weights)
-    tracklets = [new_tracklet(1, 8, BoundingBox(400.0, 300.0, 50.0, 60.0), start),
-                 new_tracklet(2, 7, BoundingBox(100.0, 500.0, 30.0, 20.0), start)]
+    tracklets = [new_tracklet(1, 8, np.array([400.0, 300.0, 50.0, 60.0]), start),
+                 new_tracklet(2, 7, np.array([100.0, 500.0, 30.0, 20.0]), start)]
     gaps = [2, 3]
     params = InpaintParams(num_samples=200, iou_threshold=0.0, seed=12)
-    cands = sample_candidates(tracklets, gaps, [[]], params, weights, book, geometry, 10)
-    extent = reachable_extent(np.stack([t.last_box.box.as_array() for t in tracklets]),
+    cands = sample_candidates(tracklets, gaps, [np.zeros((0, 4))], params, weights, book, geometry, 10)
+    extent = reachable_extent(np.stack([t.last_box.box for t in tracklets]),
                               np.array(gaps), book, geometry)
     for i, t in enumerate(tracklets):
         at = np.stack([c.path[c.gap - 1] for c in cands if c.tracklet_id == t.tracklet_id])
@@ -497,12 +495,12 @@ def test_unreachable_tracklet_is_skipped_and_moves_no_other(tiny_model, clean_sc
     current = 40
     gaps = [2, 3, 1]
     tracklets = [grown_tracklet(clean_scene, weights, obj, current - g) for obj, g in zip((1, 2, 3), gaps)]
-    lookahead = [[d.box for d in clean_scene.detections if d.frame == current + f] for f in range(3)]
+    lookahead = [detected(clean_scene, current + f) for f in range(3)]
     # a tracklet whose reachable rectangle misses every current detection
-    far = new_tracklet(99, current - 2, BoundingBox(2.0, 2.0, 6.0, 6.0), cold_start(weights))
-    x1, y1, x2, y2 = reachable_extent(far.last_box.box.as_array()[None], np.array([2]), book, geometry)[0]
-    for d in lookahead[0]:
-        assert min(x2, d.x + d.w) <= max(x1, d.x) or min(y2, d.y + d.h) <= max(y1, d.y)
+    far = new_tracklet(99, current - 2, np.array([2.0, 2.0, 6.0, 6.0]), cold_start(weights))
+    x1, y1, x2, y2 = reachable_extent(far.last_box.box[None], np.array([2]), book, geometry)[0]
+    for x, y, w, h in lookahead[0]:
+        assert min(x2, x + w) <= max(x1, x) or min(y2, y + h) <= max(y1, y)
 
     params = InpaintParams(num_samples=15, iou_threshold=0.5, seed=6)
     with_far = inpaint(tracklets + [far], gaps + [2], lookahead, params, weights, book, geometry, current)
@@ -524,7 +522,7 @@ def test_winners_do_not_depend_on_tracklet_order(tiny_model, clean_scene):
     gaps = [3, 1, 2, 3, 4, 1]
     tracklets = [grown_tracklet(clean_scene, weights, obj, current - g)
                  for obj, g in zip((1, 2, 3, 4, 5, 6), gaps)]
-    lookahead = [[d.box for d in clean_scene.detections if d.frame == current + f] for f in range(3)]
+    lookahead = [detected(clean_scene, current + f) for f in range(3)]
     params = InpaintParams(num_samples=12, iou_threshold=0.3, seed=8)
     base = inpaint(tracklets, gaps, lookahead, params, weights, book, geometry, current)
     assert sum(w is not None for w in base) >= 3
@@ -548,9 +546,9 @@ def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
     ]), k=3)
     weights = programmed_weights(book, favored=[(0, 1, 2), (0, 2), 1, 1])
     start = cold_start(weights)
-    box = BoundingBox(400.0, 400.0, 60.0, 60.0)
+    box = np.array([400.0, 400.0, 60.0, 60.0])
     params = InpaintParams(num_samples=7, iou_threshold=0.0, seed=13)
-    lookahead = [[box]] * 3
+    lookahead = [box[None]] * 3
     last_seen, gap, steps = 17, 3, 5
 
     def paths(tracklet_id, others, current=last_seen + gap):
@@ -562,7 +560,7 @@ def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
 
     def replay(u):
         want = np.zeros((params.num_samples, len(u), 4))
-        last = np.tile(box.as_array(), (params.num_samples, 1))
+        last = np.tile(box, (params.num_samples, 1))
         dist = np.broadcast_to(start[1], (params.num_samples, 4, book.k))
         for s in range(len(u)):
             last = apply_velocity(last, decode(inverse_cdf(dist, u[s]), book), geometry)

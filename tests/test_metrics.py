@@ -14,7 +14,6 @@ from gaptrack import (
     BoundingBox,
     MetricsInputError,
     aggregate,
-    boxes_to_array,
     evaluate,
     format_report,
     iou_matrix,
@@ -251,7 +250,7 @@ def recount(gt, pred, threshold):
     for f in sorted(by_frame):
         g_rows, p_rows = by_frame[f]
         g_ids, p_ids = [t for t, _ in g_rows], [t for t, _ in p_rows]
-        ious = iou_matrix(boxes_to_array([b for _, b in g_rows]), boxes_to_array([b for _, b in p_rows]))
+        ious = iou_matrix(*(np.array([b.as_array() for _, b in side]).reshape(-1, 4) for side in (g_rows, p_rows)))
         ok = ious >= threshold
         out["pairs"] += ious.size
         for i, j in zip(*np.nonzero(ok)):

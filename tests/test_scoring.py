@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from gaptrack import (
-    BoundingBox,
     InpaintParams,
     SequencingError,
     advance,
-    boxes_to_array,
     cold_start,
     inpaint,
     new_tracklet,
@@ -17,10 +15,12 @@ from gaptrack import (
 )
 from gaptrack.motion_model import PROB_FLOOR
 from gaptrack.scoring import SOURCE_DETECTED, STATUS_TENTATIVE
+from gaptrack.tracker import detection_arrays
 
 
 def object_boxes(scene, obj_id):
-    return [BoundingBox(*row) for row in scene.trajectories[obj_id]]
+    """One object's (x, y, w, h) rows, frame 1 first."""
+    return scene.trajectories[obj_id]
 
 
 def grown_tracklet(scene, weights, obj_id, upto):
@@ -28,25 +28,24 @@ def grown_tracklet(scene, weights, obj_id, upto):
     boxes = object_boxes(scene, obj_id)
     t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        advance([t], [boxes[frame_index - 1]], frame_index, scene.geometry, weights)
+        advance([t], boxes[frame_index - 1 : frame_index], frame_index, scene.geometry, weights)
     return t
 
 
 def score_one(t, det, geometry, book):
     """The pass scorer on a single tracklet-detection pair."""
-    got = score_detection(t.last_box.box.as_array()[None], t.dist[None], det.as_array()[None],
-                          geometry, book)
+    got = score_detection(t.last_box.box[None], t.dist[None], det[None], geometry, book)
     assert got.shape == (1, 1)
     return got[0, 0]
 
 
 def velocity(prev, nxt, frame):
-    """Reference: one pair's velocity, one component at a time."""
+    """Reference: one pair's velocity, one (x, y, w, h) component at a time."""
     return (
-        (nxt.x - prev.x) / frame.width,
-        (nxt.y - prev.y) / frame.height,
-        (nxt.w - prev.w) / frame.width,
-        (nxt.h - prev.h) / frame.height,
+        (nxt[0] - prev[0]) / frame.width,
+        (nxt[1] - prev[1]) / frame.height,
+        (nxt[2] - prev[2]) / frame.width,
+        (nxt[3] - prev[3]) / frame.height,
     )
 
 
@@ -70,7 +69,7 @@ def log_likelihood(dist, cells):
 def per_pair(origins, dists, detections, geometry, book):
     """Reference: one velocity, one quantize and one log_likelihood per pair."""
     return np.array([
-        [log_likelihood(dist, quantize(velocity(BoundingBox(*o), BoundingBox(*d), geometry), book))
+        [log_likelihood(dist, quantize(velocity(o, d, geometry), book))
          for d in detections]
         for o, dist in zip(origins, dists)
     ]).reshape(len(origins), len(detections))
@@ -78,13 +77,12 @@ def per_pair(origins, dists, detections, geometry, book):
 
 def test_new_tracklet_consumes_seed_token(tiny_model):
     weights, book = tiny_model
-    t = new_tracklet(5, 3, BoundingBox(10.0, 20.0, 30.0, 40.0), cold_start(weights))
+    t = new_tracklet(5, 3, np.array([10.0, 20.0, 30.0, 40.0]), cold_start(weights))
     assert t.tracklet_id == 5
     assert t.status == STATUS_TENTATIVE
     assert len(t.boxes) == 1
     assert t.last_frame == 3
     # the zero seed velocity has been consumed, so a distribution exists
-    assert t.state.steps_consumed == 1
     assert t.dist.shape == (4, book.k)
     np.testing.assert_allclose(t.dist.sum(axis=1), 1.0, atol=1e-9)
 
@@ -117,7 +115,7 @@ def test_true_continuation_outscores_jump(tiny_model, clean_scene):
     for obj_id in (1, 2, 3):
         t = grown_tracklet(clean_scene, weights, obj_id, upto=20)
         true_next = object_boxes(clean_scene, obj_id)[20]
-        jump = BoundingBox(true_next.x + 200.0, true_next.y + 150.0, true_next.w, true_next.h)
+        jump = true_next + [200.0, 150.0, 0.0, 0.0]
         good = score_one(t, true_next, geometry, book)
         bad = score_one(t, jump, geometry, book)
         assert good > bad
@@ -127,18 +125,17 @@ def test_advance_appends_and_validates_frame(tiny_model, clean_scene):
     weights, _ = tiny_model
     boxes = object_boxes(clean_scene, 1)
     t = new_tracklet(1, 1, boxes[0], cold_start(weights))
-    advance([t], [boxes[1]], 2, clean_scene.geometry, weights)
+    advance([t], boxes[1:2], 2, clean_scene.geometry, weights)
     assert [tb.frame for tb in t.boxes] == [1, 2]
     assert [tb.source for tb in t.boxes] == [SOURCE_DETECTED] * 2
-    assert t.state.steps_consumed == 2
 
     with pytest.raises(SequencingError):
-        advance([t], [boxes[2]], 4, clean_scene.geometry, weights)
+        advance([t], boxes[2:3], 4, clean_scene.geometry, weights)
     with pytest.raises(SequencingError):
-        advance([t], [boxes[2]], 2, clean_scene.geometry, weights)
+        advance([t], boxes[2:3], 2, clean_scene.geometry, weights)
     with pytest.raises(ValueError):
-        advance([t], [], 3, clean_scene.geometry, weights)
-    advance([], [], 3, clean_scene.geometry, weights)  # nothing to advance
+        advance([t], np.zeros((0, 4)), 3, clean_scene.geometry, weights)
+    advance([], np.zeros((0, 4)), 3, clean_scene.geometry, weights)  # nothing to advance
     assert len(t.boxes) == 2
 
 
@@ -147,7 +144,7 @@ def test_advance_updates_distribution(tiny_model, clean_scene):
     t = grown_tracklet(clean_scene, weights, obj_id=4, upto=5)
     dist_before = t.dist.copy()
     boxes = object_boxes(clean_scene, 4)
-    advance([t], [boxes[5]], 6, clean_scene.geometry, weights)
+    advance([t], boxes[5:6], 6, clean_scene.geometry, weights)
     assert not np.array_equal(t.dist, dist_before)
     np.testing.assert_allclose(t.dist.sum(axis=1), 1.0, atol=1e-9)
 
@@ -158,18 +155,17 @@ def test_advance_steps_every_tracklet_like_the_batched_step(tiny_model, clean_sc
     weights, _ = tiny_model
     geometry = clean_scene.geometry
     tracklets = [grown_tracklet(clean_scene, weights, obj, upto=6) for obj in (1, 2, 3)]
-    nxt = [object_boxes(clean_scene, obj)[6] for obj in (1, 2, 3)]
+    nxt = np.stack([object_boxes(clean_scene, obj)[6] for obj in (1, 2, 3)])
     hidden, cell, probs = step(
         weights,
         np.stack([t.state.hidden for t in tracklets]),
         np.stack([t.state.cell for t in tracklets]),
-        np.stack([(b.as_array() - t.last_box.box.as_array()) / geometry.scale
-                  for t, b in zip(tracklets, nxt)]),
+        np.stack([(b - t.last_box.box) / geometry.scale for t, b in zip(tracklets, nxt)]),
     )
     advance(tracklets, nxt, 7, geometry, weights)
     for i, t in enumerate(tracklets):
-        assert t.last_box.box == nxt[i] and t.last_frame == 7
-        assert t.state.steps_consumed == 7
+        assert np.array_equal(t.last_box.box, nxt[i]) and t.last_frame == 7
+        assert len(t.boxes) == 7
         assert np.array_equal(t.state.hidden, hidden[i])
         assert np.array_equal(t.state.cell, cell[i])
         assert np.array_equal(t.dist, probs[i])
@@ -181,16 +177,15 @@ def test_pass_scorer_equals_per_pair_scores_on_grown_tracklets(tiny_model, clean
     weights, book = tiny_model
     geometry = clean_scene.geometry
     tracklets = [grown_tracklet(clean_scene, weights, obj, upto=12) for obj in (1, 2, 3, 4, 5)]
-    dets = [d.box for d in clean_scene.detections if d.frame == 13]
-    dets += [BoundingBox(5.0, 5.0, 300.0, 200.0), BoundingBox(900.0, 500.0, 10.0, 12.0)]
-    origins = np.stack([t.last_box.box.as_array() for t in tracklets])
+    dets = np.vstack([detection_arrays(clean_scene.detections, 0.0)[13],
+                      [[5.0, 5.0, 300.0, 200.0], [900.0, 500.0, 10.0, 12.0]]])
+    origins = np.stack([t.last_box.box for t in tracklets])
     dists = np.stack([t.dist for t in tracklets])
-    det_array = boxes_to_array(dets)
 
-    got = score_detection(origins, dists, det_array, geometry, book)
+    got = score_detection(origins, dists, dets, geometry, book)
     assert got.shape == (len(tracklets), len(dets))
-    assert np.array_equal(got, per_pair(origins, dists, det_array, geometry, book))
-    far = np.abs(velocity(BoundingBox(*origins[0]), dets[-1], geometry))
+    assert np.array_equal(got, per_pair(origins, dists, dets, geometry, book))
+    far = np.abs(velocity(origins[0], dets[-1], geometry))
     assert np.any(far > np.abs(book.centroids).max(axis=1))
 
 
@@ -217,22 +212,21 @@ def test_pass_scorer_on_inpainted_candidates(tiny_model, clean_scene):
     geometry = clean_scene.geometry
     tracklets = [grown_tracklet(clean_scene, weights, obj_id=obj, upto=20) for obj in (1, 2, 3)]
     current = 23
-    dets = [d.box for d in clean_scene.detections if d.frame == current]
+    dets = detection_arrays(clean_scene.detections, 0.0)[current]
     winners = inpaint(tracklets, [3] * 3, [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
                       weights, book, geometry, current)
     assert all(w is not None for w in winners)
     origins = np.stack([w.origin for w in winners])
     dists = np.stack([w.dist_at_scoring for w in winners])
-    det_array = boxes_to_array(dets)
 
-    got = score_detection(origins, dists, det_array, geometry, book)
-    assert np.array_equal(got, per_pair(origins, dists, det_array, geometry, book))
+    got = score_detection(origins, dists, dets, geometry, book)
+    assert np.array_equal(got, per_pair(origins, dists, dets, geometry, book))
 
 
 def test_pass_scorer_empty_sides(tiny_model, clean_scene):
     weights, book = tiny_model
     t = grown_tracklet(clean_scene, weights, obj_id=1, upto=3)
-    one = t.last_box.box.as_array()[None]
+    one = t.last_box.box[None]
     assert score_detection(one, t.dist[None], np.zeros((0, 4)), clean_scene.geometry, book).shape == (1, 0)
     assert score_detection(np.zeros((0, 4)), np.zeros((0, 4, book.k)), one,
                            clean_scene.geometry, book).shape == (0, 1)

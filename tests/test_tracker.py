@@ -18,6 +18,8 @@ from gaptrack import (
 )
 from gaptrack.scoring import SOURCE_DETECTED, SOURCE_INPAINTED, STATUS_TERMINATED
 from gaptrack.synth import drop_detections
+from gaptrack.tracker import detection_arrays
+
 
 def id_map(result):
     """frame -> {tracklet id: (box, source)} over final emission."""
@@ -138,20 +140,51 @@ def test_terminated_id_never_returns(tiny_model, clean_scene):
     assert terminated, "expected at least one termination"
 
 
-def test_low_confidence_detections_are_dropped(tiny_model, clean_scene):
+def test_low_confidence_detections_are_dropped(tiny_model, clean_scene, monkeypatch):
     weights, book = tiny_model
+    config = TrackerConfig(min_detection_confidence=0.5)
     weak = [Detection(d.frame, d.box, confidence=0.1) for d in clean_scene.detections]
-    result = run_sequence(weak, clean_scene.meta, weights, book,
-                          TrackerConfig(min_detection_confidence=0.5))
+    result = run_sequence(weak, clean_scene.meta, weights, book, config)
     assert result.tracklets == []
+
+    # Lookahead frames are filtered too: object 1 rejoins on frame 33, and
+    # weak boxes next to it on frames 34-36 must not move the ranking of
+    # that frame's branches.
+    scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1])
+    truth = clean_scene.trajectories[1]
+    decoys = [Detection(f, BoundingBox(*(truth[f - 1] + [8.0, 5.0, 0.0, 0.0])), confidence=0.1)
+              for f in (34, 35, 36)]
+    ranked = []
+    original = scoring.sample_candidates
+
+    def recorded(tracklets, gaps, lookahead, *args):
+        candidates = original(tracklets, gaps, lookahead, *args)
+        if args[-1] == 33:
+            ranked.append([(c.tracklet_id, c.branch_index, c.iou_score, c.rejected) for c in candidates])
+        return candidates
+
+    monkeypatch.setattr(scoring, "sample_candidates", recorded)
+
+    def run(detections, config):
+        ranked.clear()
+        result = run_sequence(detections, scene.meta, weights, book, config)
+        return result.frame_results, list(ranked)
+
+    plain = run(scene.detections, config)
+    assert plain[1], "no branches were ranked on frame 33"
+    assert run(scene.detections + decoys, config) == plain
+    # kept, the decoys do move the ranking, so the check above can fail
+    admitted = run(scene.detections + decoys, TrackerConfig(min_detection_confidence=0.0))
+    assert admitted[1] != plain[1]
 
 
 def test_process_frame_rejects_out_of_order_frames(tiny_model, clean_scene):
     weights, book = tiny_model
-    state = make_state(weights, book, clean_scene.geometry, TrackerConfig())
-    process_frame(state, 1, [BoundingBox(10.0, 10.0, 40.0, 40.0)])
+    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(),
+                       frame_rate=clean_scene.meta.frame_rate)
+    process_frame(state, 1, np.array([[10.0, 10.0, 40.0, 40.0]]))
     with pytest.raises(SequencingError):
-        process_frame(state, 3, [])
+        process_frame(state, 3, np.zeros((0, 4)))
 
 
 def test_lookahead_comes_from_the_config_or_the_frame_rate(tiny_model, clean_scene):
@@ -159,7 +192,7 @@ def test_lookahead_comes_from_the_config_or_the_frame_rate(tiny_model, clean_sce
 
     def lookahead(t_trs, frame_rate):
         config = TrackerConfig(inpaint=InpaintParams(t_trs=t_trs))
-        return make_state(weights, book, clean_scene.geometry, config, frame_rate).t_trs
+        return make_state(weights, book, clean_scene.geometry, config, frame_rate=frame_rate).t_trs
 
     # a configured 0 means no lookahead; only null derives it from the frame rate
     assert lookahead(0, 30.0) == 0 == InpaintParams(t_trs=0).lookahead_frames(30.0)
@@ -169,9 +202,9 @@ def test_lookahead_comes_from_the_config_or_the_frame_rate(tiny_model, clean_sce
 
 def test_instant_birth_confirmation(tiny_model, clean_scene):
     weights, book = tiny_model
-    state = make_state(weights, book, clean_scene.geometry,
-                       TrackerConfig(birth_confirmation=1))
-    fr = process_frame(state, 1, [BoundingBox(10.0, 10.0, 40.0, 40.0)])
+    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(birth_confirmation=1),
+                       frame_rate=clean_scene.meta.frame_rate)
+    fr = process_frame(state, 1, np.array([[10.0, 10.0, 40.0, 40.0]]))
     assert len(fr.committed) == 1
     assert fr.born == (1,)
 
@@ -190,9 +223,8 @@ def test_births_share_the_cold_start_without_aliasing(tiny_model, clean_scene):
     # state; advancing one newborn leaves another's state and dist untouched.
     weights, book = tiny_model
     geometry = clean_scene.geometry
-    state = make_state(weights, book, geometry, TrackerConfig())
-    boxes = [BoundingBox(100.0, 100.0, 40.0, 40.0), BoundingBox(600.0, 300.0, 40.0, 40.0)]
-    fr = process_frame(state, 1, boxes)
+    state = make_state(weights, book, geometry, TrackerConfig(), frame_rate=clean_scene.meta.frame_rate)
+    fr = process_frame(state, 1, np.array([[100.0, 100.0, 40.0, 40.0], [600.0, 300.0, 40.0, 40.0]]))
     assert fr.born == (1, 2)
     a, b = state.tracklets
     zero = np.zeros((1, weights.config.hidden_dim))
@@ -201,11 +233,11 @@ def test_births_share_the_cold_start_without_aliasing(tiny_model, clean_scene):
         assert np.array_equal(t.state.hidden, hidden[0])
         assert np.array_equal(t.state.cell, cell[0])
         assert np.array_equal(t.dist, probs[0])
-        assert t.state.steps_consumed == 1
+        assert len(t.boxes) == 1
         assert not t.dist.flags.writeable and not t.state.hidden.flags.writeable
 
     kept = (b.state, b.state.hidden.copy(), b.state.cell.copy(), b.dist.copy())
-    advance([a], [BoundingBox(104.0, 102.0, 40.0, 40.0)], 2, geometry, weights)
+    advance([a], np.array([[104.0, 102.0, 40.0, 40.0]]), 2, geometry, weights)
     assert not np.array_equal(a.dist, kept[3])
     assert b.state is kept[0]
     assert np.array_equal(b.state.hidden, kept[1])
@@ -217,7 +249,7 @@ def test_births_share_the_cold_start_without_aliasing(tiny_model, clean_scene):
 def test_one_model_step_per_frame_and_none_for_births(tiny_model, clean_scene, monkeypatch):
     weights, book = tiny_model
     scene = drop_detections(clean_scene, frames=range(30, 33), object_ids=[1, 4])
-    state = make_state(weights, book, scene.geometry, TrackerConfig())
+    state = make_state(weights, book, scene.geometry, TrackerConfig(), frame_rate=scene.meta.frame_rate)
     rows = []
     real_step = scoring.step
 
@@ -226,14 +258,12 @@ def test_one_model_step_per_frame_and_none_for_births(tiny_model, clean_scene, m
         return real_step(weights, hidden, cell, deltas)
 
     monkeypatch.setattr(scoring, "step", counted)
-    by_frame = {}
-    for det in scene.detections:
-        by_frame.setdefault(det.frame, []).append(det)
+    by_frame = detection_arrays(scene.detections, 0.0)
     fr = process_frame(state, 1, by_frame[1])
     assert len(fr.born) == 6 and rows == []  # births make no model call
     for frame_index in range(2, scene.meta.length + 1):
-        future = [by_frame.get(frame_index + k, []) for k in (1, 2, 3)]
-        fr = process_frame(state, frame_index, by_frame.get(frame_index, []), future)
+        future = [by_frame.get(frame_index + k, np.zeros((0, 4))) for k in (1, 2, 3)]
+        fr = process_frame(state, frame_index, by_frame.get(frame_index, np.zeros((0, 4))), future)
         # one step, over every tracklet matched in either pass
         matched = [t for t in state.tracklets
                    if t.last_frame == frame_index and t.tracklet_id not in fr.born]
@@ -243,21 +273,21 @@ def test_one_model_step_per_frame_and_none_for_births(tiny_model, clean_scene, m
 
 
 def _object_boxes(scene, obj):
-    """Ground-truth boxes of one object, frame 1 first (clean scenes detect them exactly)."""
-    return [BoundingBox(*map(float, row)) for row in scene.trajectories[obj]]
+    """Ground-truth (x, y, w, h) rows of one object, frame 1 first (clean scenes detect them exactly)."""
+    return scene.trajectories[obj]
 
 
 @pytest.mark.parametrize("termination_gap", [1, 4, 10])
 def test_confirmed_tracklet_terminates_after_exactly_the_allowed_gap(tiny_model, clean_scene,
                                                                      termination_gap):
     weights, book = tiny_model
-    state = make_state(weights, book, clean_scene.geometry,
-                       TrackerConfig(termination_gap=termination_gap))
+    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(termination_gap=termination_gap),
+                       frame_rate=clean_scene.meta.frame_rate)
     boxes = _object_boxes(clean_scene, 1)
     last = 8
     terminated_on = []
     for frame_index in range(1, last + termination_gap + 4):
-        dets = [boxes[frame_index - 1]] if frame_index <= last else []
+        dets = boxes[frame_index - 1 : frame_index] if frame_index <= last else np.zeros((0, 4))
         fr = process_frame(state, frame_index, dets)
         if frame_index <= last:
             assert [tid for tid, _, _ in fr.committed] == ([1] if frame_index >= 2 else [])
@@ -270,37 +300,38 @@ def test_confirmed_tracklet_terminates_after_exactly_the_allowed_gap(tiny_model,
 
 def test_first_online_commit_comes_on_the_confirming_detection(tiny_model, clean_scene):
     weights, book = tiny_model
-    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(birth_confirmation=3))
+    state = make_state(weights, book, clean_scene.geometry, TrackerConfig(birth_confirmation=3),
+                       frame_rate=clean_scene.meta.frame_rate)
     boxes = _object_boxes(clean_scene, 2)
-    results = [process_frame(state, f, [boxes[f - 1]]) for f in range(1, 6)]
+    results = [process_frame(state, f, boxes[f - 1 : f]) for f in range(1, 6)]
     assert [fr.born for fr in results] == [(1,), (), (), (), ()]
     assert [fr.committed for fr in results[:2]] == [(), ()]
     for frame_index, fr in enumerate(results[2:], start=3):
-        assert fr.committed == ((1, boxes[frame_index - 1], SOURCE_DETECTED),)
+        assert fr.committed == ((1, BoundingBox(*boxes[frame_index - 1]), SOURCE_DETECTED),)
 
 
 def test_tentative_tracklet_that_misses_once_never_emits(tiny_model, clean_scene):
     weights, book = tiny_model
     config = TrackerConfig(birth_confirmation=3)
-    state = make_state(weights, book, clean_scene.geometry, config)
+    state = make_state(weights, book, clean_scene.geometry, config, frame_rate=clean_scene.meta.frame_rate)
     boxes = _object_boxes(clean_scene, 1)
-    clutter = BoundingBox(850.0, 20.0, 40.0, 40.0)
+    clutter = np.array([850.0, 20.0, 40.0, 40.0])
     clutter_frames = {3, 4, 6}  # matched once on frame 4, missed on frame 5
     online = []
     for frame_index in range(1, 12):
-        dets = [boxes[frame_index - 1]] + ([clutter] if frame_index in clutter_frames else [])
+        dets = np.array([boxes[frame_index - 1]] + ([clutter] if frame_index in clutter_frames else []))
         online.append(process_frame(state, frame_index, dets))
     assert online[2].born == (2,) and online[3].born == ()  # frame 4 extends tracklet 2
     assert 2 not in [t.tracklet_id for t in state.tracklets]
     assert online[5].born == (3,)
     assert all(tid == 1 for fr in online for tid, _, _ in fr.committed)
 
-    detections = [Detection(f, box, 1.0)
+    detections = [Detection(f, BoundingBox(*box), 1.0)
                   for f in range(1, 12)
                   for box in [boxes[f - 1]] + ([clutter] if f in clutter_frames else [])]
     result = run_sequence(detections, clean_scene.meta, weights, book, config)
     assert [t.tracklet_id for t in result.tracklets] == [1]
-    assert all(box != clutter for fr in result.frame_results for _, box, _ in fr.committed)
+    assert all(box != BoundingBox(*clutter) for fr in result.frame_results for _, box, _ in fr.committed)
 
 
 def test_pass_two_reattach_commits_its_detection_online(tiny_model, clean_scene):
@@ -313,7 +344,7 @@ def test_pass_two_reattach_commits_its_detection_online(tiny_model, clean_scene)
     by_frame = {tb.frame: tb for tb in bridged.boxes}
     assert by_frame[33].source == SOURCE_DETECTED
     online = {fr.frame: fr for fr in result.online_results}
-    assert (tid, by_frame[33].box, SOURCE_DETECTED) in online[33].committed
+    assert (tid, BoundingBox(*by_frame[33].box), SOURCE_DETECTED) in online[33].committed
     for frame_index in (30, 31, 32):
         assert tid not in [row[0] for row in online[frame_index].committed]
     assert tid not in online[33].born
