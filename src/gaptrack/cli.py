@@ -206,7 +206,7 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
     for i in range(1, prefix):
         advance([tracklet], boxes[i : i + 1], i + 1, scene.geometry, weights)
     current = prefix + gap  # 1-based frame the tracklet tries to rejoin
-    by_frame = detection_arrays(scene.detections, -np.inf)  # every detection, unfiltered
+    by_frame = detection_arrays(scene.detections, cfg.tracker.min_detection_confidence)
     lookahead = [by_frame.get(current + off, np.zeros((0, 4))) for off in range(t_trs + 1)]
 
     candidates = sample_candidates(
@@ -336,3 +336,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -32,12 +32,16 @@ ENV_CONFIG = "GAPTRACK_CONFIG"
 
 @dataclass(frozen=True)
 class CodebookSection:
-    size: int = 256
+    # The smallest size that kept MOTA and IDF1 in the K sweep
+    # (tools/codebook_sweep.py): at 64 the crowded scene's IDF1 fell.
+    size: int = 128
     seed: int = 0
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
+        if self.seed < 0:  # numpy seeds must be non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,8 @@ class RunConfig:
     scene: SceneSpec | None = None
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy seeds must be non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for f in fields(self):
             if f.name in _SECTIONS and getattr(self, f.name) is None:
                 section = _build(_SECTIONS[f.name], {}, f"{f.name}.", self.seed)

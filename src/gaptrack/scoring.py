@@ -112,6 +112,8 @@ class InpaintParams:
             raise ValueError(f"t_trs must be >= 0 or null, got {self.t_trs}")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
+        if self.seed < 0:  # numpy seeds must be non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lookahead_frames(self, frame_rate: float) -> int:
         """``t_trs`` when set (0 means no lookahead), else the frame rate's default."""

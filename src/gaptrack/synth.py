@@ -70,6 +70,8 @@ class SceneSpec:
                 )
         if not 0.0 < self.frame_rate < float("inf"):
             raise ConfigError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
+        if self.seed < 0:  # numpy seeds must be non-negative
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _sizes(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -83,6 +83,8 @@ class TrainSchedule:
             raise ValueError(f"jitter_fraction must be >= 0, got {self.jitter_fraction}")
         if self.window is not None and self.window < 3:
             raise ValueError(f"window must be >= 3 or null, got {self.window}")
+        if self.seed < 0:  # numpy seeds must be non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

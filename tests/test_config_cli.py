@@ -8,6 +8,7 @@ exits 0, and leaves well-formed artifacts behind.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from gaptrack.config import ENV_CONFIG, to_file
 def test_defaults():
     cfg = RunConfig()
     assert cfg.seed == 0
-    assert cfg.codebook.size == 256
+    assert cfg.codebook.size == 128
     assert cfg.model.hidden_dim == 48
     assert cfg.training.iterations == 5000
     assert cfg.tracker.gate_factor == 2.0
@@ -126,6 +127,17 @@ def test_value_types_are_checked():
     assert from_dict({"scene": {"width": 144, "height": 144}})
     # ints are fine where floats are expected
     assert from_dict({"training": {"learning_rate": 1}}).training.learning_rate == 1
+    # numpy takes only non-negative seeds; each seeded section checks its own
+    for data, message in (({"seed": -1}, "seed must be >= 0, got -1"),
+                          ({"codebook": {"seed": -1}}, "codebook: seed must be >= 0"),
+                          ({"training": {"seed": -2}}, "training: seed must be >= 0"),
+                          ({"tracker": {"inpaint": {"seed": -5}}}, "tracker.inpaint: seed must be >= 0"),
+                          ({"scene": {"seed": -3}}, "scene: seed must be >= 0")):
+        with pytest.raises(ConfigError, match=message):
+            from_dict(data)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(seed=-1)
+    assert from_dict({"seed": 0, "tracker": {"inpaint": {"seed": 0}}}).tracker.inpaint.seed == 0
 
 
 @pytest.mark.parametrize("inpaint, field", [
@@ -385,6 +397,27 @@ def test_inpaint_demo_honours_a_zero_lookahead(pipeline, tmp_path):
     assert max(scores) <= 1.0
 
 
+def test_inpaint_demo_ranks_against_the_tracker_s_detections(pipeline, tmp_path, capsys):
+    # synthetic detections score 1.0 (false positives 0.5): above a threshold
+    # of 1.5 the tracker sees none, so no branch can rejoin one
+    survived = {}
+    for threshold in (0.0, 1.5):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {**PIPELINE_CONFIG, "tracker": {"min_detection_confidence": threshold}}
+        ))
+        out = tmp_path / "branches.csv"
+        rc = main(["inpaint-demo", "--config", str(cfg_path),
+                   "--model", str(pipeline["model"]), "--codebook", str(pipeline["book"]),
+                   "--out", str(out), "--object", "1", "--prefix", "10", "--gap", "2",
+                   "--samples", "6"])
+        assert rc == 0
+        header, *rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        survived[threshold] = sum(row[header.index("rejected")] == "0" for row in rows)
+        assert f"; {survived[threshold]} survived" in capsys.readouterr().out
+    assert survived[0.0] > 0 and survived[1.5] == 0
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
@@ -410,6 +443,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
     rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
     assert rc == 3
     assert "min_detection_confidence" in capsys.readouterr().err and not (tmp_path / "scene").exists()
+    # a negative seed stops at load time, not in numpy mid-run
+    for data in ({"seed": -1}, {"tracker": {"inpaint": {"seed": -5}}}):
+        bad.write_text(json.dumps(data))
+        rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "scene")])
+        assert rc == 3
+        assert "seed must be >= 0" in capsys.readouterr().err and not (tmp_path / "scene").exists()
+    rc = main(["synth", "--seed", "-1", "--out", str(tmp_path / "scene")])
+    assert rc == 3
+    assert "seed must be >= 0" in capsys.readouterr().err and not (tmp_path / "scene").exists()
 
 
 def test_invalid_inpaint_settings_exit_3(tmp_path, capsys):
@@ -471,13 +513,47 @@ def test_evaluate_rejects_a_malformed_gt_column_with_an_error_line(tmp_path, cap
     assert f"error: {gt}:1: {message}" in capsys.readouterr().err
 
 
+def _checkout_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_points_run_from_a_checkout(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", *args], env=_checkout_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    helped = run("gaptrack", "--help")
+    assert helped.returncode == 0 and "inpaint-demo" in helped.stdout
+    # the module form parses its arguments too: synth without --out is a usage error
+    usage = run("gaptrack.cli", "synth")
+    assert usage.returncode == 2 and "--out" in usage.stderr
+    made = run("gaptrack", "synth", "--out", "scene", "--objects", "2", "--frames", "10")
+    assert made.returncode == 0 and (tmp_path / "scene" / "det" / "det.txt").exists()
+
+
+def test_readme_config_block_is_the_packaged_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    packaged = RunConfig().to_dict()
+
+    def check(documented: dict, actual: dict, path: str) -> None:
+        for key, value in documented.items():
+            assert key in actual, f"README config key {path}{key} is not a config key"
+            if isinstance(value, dict):
+                check(value, actual[key], f"{path}{key}.")
+            else:
+                assert value == actual[key], f"README says {path}{key} = {value}, default is {actual[key]}"
+
+    check(json.loads(block), packaged, "")
+
+
 def test_package_and_cli_import_without_scipy():
     # scipy is a test-only oracle; the package and its entry points must not load it
     code = (
         "import sys, gaptrack, gaptrack.cli, gaptrack.config; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"
