@@ -12,9 +12,18 @@ Rows become frame-sorted arrays once: frames, ids and boxes, in input order
 within a frame. The IOU of each same-frame (ground truth, prediction) pair
 is computed once, in blocks of consecutive frames holding at most
 ``PAIR_BLOCK`` pairs (a larger frame is a block of its own), so memory stays
-bounded on long, crowded sequences.
-Each frame is matched on its slice of its block, and the pairs at or above
-the threshold are kept as the co-occurrences that identity F1 counts.
+bounded on long, crowded sequences. The pairs at or above the threshold,
+the hits, are kept: they are the co-occurrences that identity F1 counts.
+
+Matching then runs in bulk. A hit whose gt row and prediction row hold no
+other hit in their frame is matched whatever came before, so all of those
+are taken at once. The rest, the contested hits, go through
+:func:`_match_frame` frame by frame in order, each object starting from its
+latest earlier match, uncontested or contested. A match is "kept" exactly
+when it continues the object's previous partner, so sorting the matches by
+frame, then kept matches by object id and the others by gt row, rebuilds
+the order in which frame-by-frame matching would produce them; the IOU sum
+is added up in that order.
 """
 
 from __future__ import annotations
@@ -82,18 +91,11 @@ def _rows_to_arrays(rows, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Duplicate (frame, id) pairs are an error naming the first repeated row.
     """
-    frames, ids, coords = [], [], []
-    for row in rows:
-        if isinstance(row, tuple):
-            frame, track_id, box = row
-        else:
-            frame, track_id, box = row.frame, row.track_id, row.box
-        frames.append(frame)
-        ids.append(track_id)
-        coords.append((box.x, box.y, box.w, box.h))
-    frames = _integers(frames, label, "frame")
-    ids = _integers(ids, label, "id")
-    boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    rows = [row if isinstance(row, tuple) else (row.frame, row.track_id, row.box) for row in rows]
+    frames = _integers([row[0] for row in rows], label, "frame")
+    ids = _integers([row[1] for row in rows], label, "id")
+    coords = [value for _, _, box in rows for value in (box.x, box.y, box.w, box.h)]
+    boxes = np.fromiter(coords, dtype=np.float64, count=len(coords)).reshape(-1, 4)
     by_key = np.lexsort((ids, frames))
     later = by_key[1:]
     repeated = (frames[later] == frames[by_key[:-1]]) & (ids[later] == ids[by_key[:-1]])
@@ -108,36 +110,33 @@ def _match_frame(
     ious: np.ndarray,
     gt_codes: np.ndarray,
     pred_codes: np.ndarray,
-    last_match: np.ndarray,
+    previous: np.ndarray,
     iou_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One frame's matching as (gt rows, pred columns) of its (G, P) IOUs.
+    """One frame's contested matching as (gt rows, pred columns) of its (G, P) IOUs.
 
-    ``last_match`` holds each object's last partner code (-1 for none). Kept
-    partners come first, in object id order, then the leftover solve's pairs.
+    ``previous`` holds each row's object's last partner code (-1 for none).
+    Each object keeps its previous partner whenever it still overlaps enough;
+    objects claim in id order, and a partner goes to the first claim. The
+    leftovers are solved for the most pairs and then the largest IOU sum.
     """
     allowed = ious >= iou_threshold
-    # Keep an object's previous partner whenever it still overlaps enough;
-    # objects claim in id order, and a partner goes to the first claim.
-    rows, cols = np.nonzero(allowed & (pred_codes == last_match[gt_codes][:, None]))
-    by_id = np.argsort(gt_codes[rows])
-    rows, cols = rows[by_id], cols[by_id]
+    rows, cols = (allowed & (pred_codes == previous[:, None])).nonzero()
     if len(set(cols.tolist())) < len(cols):
-        first = np.sort(np.unique(cols, return_index=True)[1])
-        rows, cols = rows[first], cols[first]
+        by_id = np.argsort(gt_codes[rows])
+        first = np.unique(cols[by_id], return_index=True)[1]
+        rows, cols = rows[by_id[first]], cols[by_id[first]]
 
-    free_gt = np.ones(len(gt_codes), dtype=bool)
-    free_gt[rows] = False
-    free_pred = np.ones(len(pred_codes), dtype=bool)
-    free_pred[cols] = False
-    free_gt, free_pred = np.flatnonzero(free_gt), np.flatnonzero(free_pred)
-    if free_gt.size and free_pred.size:
-        sub = ious[free_gt][:, free_pred]
-        solved = solve(np.where(sub >= iou_threshold, -sub, FORBIDDEN))
-        if solved:
-            a, b = np.array(solved).T
-            rows = np.concatenate([rows, free_gt[a]])
-            cols = np.concatenate([cols, free_pred[b]])
+    # Rows and columns left without an allowed pair cannot change the solve.
+    allowed[rows] = False
+    allowed[:, cols] = False
+    free_gt = allowed.any(axis=1).nonzero()[0]
+    if free_gt.size:
+        free_pred = allowed.any(axis=0).nonzero()[0]
+        sub = ious[np.ix_(free_gt, free_pred)]
+        a, b = np.array(solve(np.where(sub >= iou_threshold, -sub, FORBIDDEN))).T
+        rows = np.concatenate([rows, free_gt[a]])
+        cols = np.concatenate([cols, free_pred[b]])
     return rows, cols
 
 
@@ -202,11 +201,10 @@ def _derive(
 
 
 def _pair_blocks(gt_start, gt_end, pred_start, pred_end):
-    """Split frames into runs of consecutive frames holding at most ``PAIR_BLOCK`` pairs.
+    """Same-frame pairs as (gt rows, pred rows), in runs of at most ``PAIR_BLOCK`` pairs.
 
     Takes the row ranges of every frame on both sides, over all rows, and
-    yields per run ``(lo, hi, gt_rows, pred_rows)``: frames ``lo`` to
-    ``hi - 1`` and the rows of their same-frame pairs, frame by frame and
+    yields the pairs of runs of consecutive frames, frame by frame and
     gt-major. A frame with more pairs than the limit is a run of its own.
     """
     gt_count, pred_count = gt_end - gt_start, pred_end - pred_start
@@ -222,7 +220,7 @@ def _pair_blocks(gt_start, gt_end, pred_start, pred_end):
         reps = row_pairs[rows]
         first = np.cumsum(reps) - reps
         pred_rows = np.arange(pair_end[hi - 1] - base) + np.repeat(row_pred_start[rows] - first, reps)
-        yield lo, hi, np.repeat(rows, reps), pred_rows
+        yield np.repeat(rows, reps), pred_rows
         lo = hi
 
 
@@ -244,45 +242,95 @@ def evaluate(ground_truth, predictions, iou_threshold: float = 0.5) -> MetricsRe
     gt_end = np.searchsorted(gt_frames, frames, side="right")
     pred_start = np.searchsorted(pred_frames, frames)
     pred_end = np.searchsorted(pred_frames, frames, side="right")
-    bounds = np.column_stack([gt_start, gt_end, pred_start, pred_end]).tolist()
     # Coordinates as rows, so that gathered pairs keep each one contiguous.
     gt_coords, pred_coords = gt_boxes.T.copy(), pred_boxes.T.copy()
 
-    last_match = np.full(len(gt_order), -1, dtype=np.int64)
-    matched_gt, matched_pred, matched_iou, hit_gt, hit_pred = [], [], [], [], []
-    for lo, hi, gt_rows, pred_rows in _pair_blocks(gt_start, gt_end, pred_start, pred_end):
+    hit_gt, hit_pred, hit_iou = [], [], []
+    for gt_rows, pred_rows in _pair_blocks(gt_start, gt_end, pred_start, pred_end):
         ious = box_iou(gt_coords.take(gt_rows, axis=1).T, pred_coords.take(pred_rows, axis=1).T)
         hit = ious >= iou_threshold
-        hit_gt.append(gt_codes[gt_rows[hit]])
-        hit_pred.append(pred_codes[pred_rows[hit]])
-        at = 0
-        for g0, g1, p0, p1 in bounds[lo:hi]:
-            if g0 == g1 or p0 == p1:
-                continue
-            frame_gt, frame_pred = gt_codes[g0:g1], pred_codes[p0:p1]
-            frame_ious = ious[at:at + (g1 - g0) * (p1 - p0)].reshape(g1 - g0, p1 - p0)
-            at += frame_ious.size
-            rows, cols = _match_frame(frame_ious, frame_gt, frame_pred, last_match, iou_threshold)
-            objects, partners = frame_gt[rows], frame_pred[cols]
-            last_match[objects] = partners
-            matched_gt.append(objects)
-            matched_pred.append(partners)
-            matched_iou.append(frame_ious[rows, cols])
-
+        hit_gt.append(gt_rows[hit])
+        hit_pred.append(pred_rows[hit])
+        hit_iou.append(ious[hit])
     empty = np.zeros(0, dtype=np.int64)
-    matched_gt = np.concatenate([empty, *matched_gt])
-    matched_pred = np.concatenate([empty, *matched_pred])
-    # Matches are in frame order, so an object's partners are in time order.
-    by_object = np.argsort(matched_gt, kind="stable")
-    objects, partners = matched_gt[by_object], matched_pred[by_object]
-    ids = np.count_nonzero((objects[1:] == objects[:-1]) & (partners[1:] != partners[:-1]))
-    # One addition at a time in match order: the bits of the sum depend on it.
-    iou_sum = 0.0
-    for pair_iou in np.concatenate([np.zeros(0), *matched_iou]).tolist():
-        iou_sum += pair_iou
-    coverage = np.bincount(matched_gt, minlength=len(gt_order)) / np.bincount(gt_codes, minlength=len(gt_order))
+    hit_gt = np.concatenate([empty, *hit_gt])
+    hit_pred = np.concatenate([empty, *hit_pred])
+    hit_iou = np.concatenate([np.zeros(0), *hit_iou])
+    gt_frame = np.searchsorted(frames, gt_frames)
+
+    # A hit alone in its gt row and in its prediction row is matched whatever
+    # came before: kept if it continues the object's last partner, otherwise
+    # a pair of its own in the leftover solve.
+    lone = ((np.bincount(hit_gt, minlength=len(gt_ids))[hit_gt] == 1)
+            & (np.bincount(hit_pred, minlength=len(pred_ids))[hit_pred] == 1))
+    lone_gt, lone_pred = hit_gt[lone], hit_pred[lone]
+    matched_gt, matched_pred, matched_iou = [lone_gt], [lone_pred], [hit_iou[lone]]
+
+    # The other hits share a row or a column; they are resolved frame by
+    # frame in order, each object starting from its latest earlier match.
+    contested_gt, contested_iou = hit_gt[~lone], hit_iou[~lone]
+    rows, row_at = np.unique(contested_gt, return_inverse=True)
+    cols, col_at = np.unique(hit_pred[~lone], return_inverse=True)
+    row_objects, col_partners = gt_codes[rows], pred_codes[cols]
+    row_frame, col_frame = gt_frame[rows], np.searchsorted(frames, pred_frames[cols])
+    hit_frame = gt_frame[contested_gt]
+    # Each contested hit's place in its frame's block of contested rows and columns.
+    hit_row = row_at - np.searchsorted(row_frame, hit_frame)
+    hit_col = col_at - np.searchsorted(col_frame, hit_frame)
+    # The latest uncontested match of each contested row's object before its
+    # frame, found among keys (object, frame) behind a sentinel that no object owns.
+    lone_key = gt_codes[lone_gt] * len(frames) + gt_frame[lone_gt]
+    by_key = np.argsort(lone_key)
+    lone_key = np.r_[-1, lone_key[by_key]]
+    lone_partner = np.r_[-1, pred_codes[lone_pred[by_key]]]
+    at = np.searchsorted(lone_key, row_objects * len(frames) + row_frame) - 1
+    earlier = lone_key[at] // len(frames) == row_objects
+    prior_frame = np.where(earlier, lone_key[at] % len(frames), -1)
+    prior_partner = np.where(earlier, lone_partner[at], -1)
+    # The latest contested match of each object, as the loop resolves them.
+    last_frame = np.full(len(gt_order), -1, dtype=np.int64)
+    last_partner = np.full(len(gt_order), -1, dtype=np.int64)
+    contested_frames = np.unique(row_frame)
+    spans = np.column_stack([
+        contested_frames,
+        *(np.searchsorted(keys, contested_frames, side=side)
+          for keys in (row_frame, col_frame, hit_frame) for side in ("left", "right")),
+    ]).tolist()
+    won_rows, won_cols = [empty], [empty]
+    for frame, r0, r1, c0, c1, h0, h1 in spans:
+        block = np.zeros((r1 - r0, c1 - c0))
+        block[hit_row[h0:h1], hit_col[h0:h1]] = contested_iou[h0:h1]
+        objects = row_objects[r0:r1]
+        later = last_frame[objects] > prior_frame[r0:r1]
+        previous = np.where(later, last_partner[objects], prior_partner[r0:r1])
+        a, b = _match_frame(block, objects, col_partners[c0:c1], previous, iou_threshold)
+        matched_iou.append(block[a, b])
+        a, b = a + r0, b + c0
+        last_frame[row_objects[a]] = frame
+        last_partner[row_objects[a]] = col_partners[b]
+        won_rows.append(a)
+        won_cols.append(b)
+    matched_gt.append(rows[np.concatenate(won_rows)])
+    matched_pred.append(cols[np.concatenate(won_cols)])
+
+    matched_gt = np.concatenate(matched_gt)
+    matched_frame = gt_frame[matched_gt]
+    objects, partners = gt_codes[matched_gt], pred_codes[np.concatenate(matched_pred)]
+    by_object = np.lexsort((matched_frame, objects))
+    same = objects[by_object][1:] == objects[by_object][:-1]
+    changed = partners[by_object][1:] != partners[by_object][:-1]
+    ids = np.count_nonzero(same & changed)
+    # A match is kept exactly when it continues the object's previous partner.
+    # Per frame, kept matches come in object id order, then the rest by gt row.
+    kept = np.zeros(len(matched_gt), dtype=bool)
+    kept[by_object[1:]] = same & ~changed
+    order = np.lexsort((np.where(kept, objects, matched_gt), ~kept, matched_frame))
+    # cumsum adds one value at a time in match order, unlike sum's pairwise
+    # order: the bits of the sum depend on it.
+    iou_sum = float(np.cumsum(np.concatenate(matched_iou)[order])[-1]) if len(order) else 0.0
+    coverage = np.bincount(objects, minlength=len(gt_order)) / np.bincount(gt_codes, minlength=len(gt_order))
     tp = len(matched_gt)
-    idtp = _identity_true_positives(np.concatenate([empty, *hit_gt]), np.concatenate([empty, *hit_pred]))
+    idtp = _identity_true_positives(gt_codes[hit_gt], pred_codes[hit_pred])
     return _derive(
         num_frames=len(frames),
         num_gt=len(gt_ids),

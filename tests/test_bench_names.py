@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaptrack import TrainSchedule, metrics, motion_model, tracker, training
+from gaptrack import BoundingBox, TrainSchedule, metrics, motion_model, tracker, training
 from gaptrack.config import RunConfig
 from gaptrack.synth import drop_detections
 
@@ -156,6 +156,26 @@ def test_every_tracker_wrap_is_called_by_tracking(tiny_model, clean_scene, monke
                if target.startswith(("gaptrack.scoring:", "gaptrack.tracker:"))]
     assert {"gaptrack.scoring:cell_forward", "gaptrack.scoring:step"} <= set(targets)
     assert all(tracer.calls[target] > 0 for target in targets), tracer.calls
+
+
+def test_every_metrics_wrap_is_called_by_evaluate(monkeypatch):
+    # evaluate takes uncontested pairs in bulk; a scene whose frames never
+    # contest a box would leave _match_frame and its solve at 0 in the bench
+    layers = _layers()
+    tracer = HookTracer(monkeypatch)
+    layers.install(tracer)
+    box = BoundingBox(0.0, 0.0, 20.0, 40.0)
+    gt = [(frame, 1, box) for frame in (1, 2, 3)]
+    # Predictions 7 and 8 both overlap object 1 in frames 1 and 3.
+    near, nearer = BoundingBox(3.0, 0.0, 20.0, 40.0), BoundingBox(1.0, 0.0, 20.0, 40.0)
+    pred = [(1, 7, near), (1, 8, nearer), (2, 7, box), (3, 7, near), (3, 8, nearer)]
+    report = metrics.evaluate(gt, pred)
+    assert report.true_positives == 3
+    targets = [target for target, *_ in layers.WRAPS if target.startswith("gaptrack.metrics:")]
+    assert {"gaptrack.metrics:_match_frame", "gaptrack.metrics:solve"} <= set(targets)
+    assert all(tracer.calls[target] > 0 for target in targets), tracer.calls
+    # one solve for identity F1, at least one for a contested frame's leftovers
+    assert tracer.calls["gaptrack.metrics:solve"] > tracer.calls["gaptrack.metrics:_identity_true_positives"]
 
 
 def test_cell_forward_returns_what_the_workloads_read(tiny_model):

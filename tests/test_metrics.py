@@ -303,3 +303,73 @@ def test_evaluate_matches_frame_by_frame_recount(threshold, pair_block, monkeypa
         assert got == {key: want[key] for key in got}
         assert report.iou_sum == want["iou_sum"]
         assert report.id_switches > 0 and report.false_positives > 0 and report.false_negatives > 0
+
+
+def _box(x):
+    # Boxes 20 wide and 40 tall, offset along x: a shift of d has IOU (20 - d) / (20 + d).
+    return BoundingBox(float(x), 0.0, 20.0, 40.0)
+
+
+# (gt rows, pred rows, ID switches): frames where a gt row or a prediction
+# holds two pairs at or above the threshold.
+CONTESTED = {
+    # Frame 2: the last partner 7 (IOU 0.74) stays against 8 (IOU 0.90).
+    "last_partner_beats_a_closer_one": (
+        [(1, 1, _box(0)), (2, 1, _box(0))],
+        [(1, 7, _box(1)), (2, 7, _box(3)), (2, 8, _box(1))],
+        0,
+    ),
+    # Frame 3: objects 1 and 2 both last matched 7 and overlap it equally; the
+    # lower id keeps it, and object 2 switches to 8, which only it overlaps.
+    "two_objects_share_a_last_partner": (
+        [(1, 1, _box(0)), (2, 2, _box(0)), (3, 1, _box(2)), (3, 2, _box(-2))],
+        [(1, 7, _box(0)), (2, 7, _box(0)), (3, 7, _box(0)), (3, 8, _box(-6))],
+        1,
+    ),
+    # Frame 1: prediction 7 overlaps objects 1 (IOU 0.74) and 2 (0.90) and
+    # goes to 2; frame 2 repeats it with 1 closer, and 2 keeps 7.
+    "one_prediction_over_two_objects": (
+        [(1, 1, _box(3)), (1, 2, _box(-1)), (2, 1, _box(1)), (2, 2, _box(-3))],
+        [(1, 7, _box(0)), (2, 7, _box(0))],
+        0,
+    ),
+    # Chain g1-p1-g2-p2: taking the best pair g2-p1 (0.90) first would leave
+    # one match; the solve takes g1-p1 (0.74) and g2-p2 (0.60).
+    "chain_needs_the_solver": (
+        [(1, 1, _box(4)), (1, 2, _box(0))],
+        [(1, 1, _box(1)), (1, 2, _box(-5))],
+        0,
+    ),
+    # Object 1's partner is set in contested frames 1 and 4 (8, the closer one
+    # at frame 1), with object 2 alone in frames 2-3. Frame 4 keeps 8 although 7
+    # is closer. Frame 5 switches to 7 alone, and frame 6 keeps 7 against 8.
+    "partner_from_a_contested_frame": (
+        [(1, 1, _box(0)), (2, 2, _box(100)), (3, 2, _box(100)), (4, 1, _box(0)), (5, 1, _box(0)),
+         (6, 1, _box(0))],
+        [(1, 7, _box(3)), (1, 8, _box(1)), (2, 9, _box(100)), (3, 9, _box(100)), (4, 7, _box(1)),
+         (4, 8, _box(3)), (5, 7, _box(0)), (6, 7, _box(3)), (6, 8, _box(1))],
+        1,
+    ),
+}
+
+
+def contested_frames(gt, pred, threshold=0.5):
+    """Frames in which a gt row or a prediction holds two pairs at or above ``threshold``."""
+    count = 0
+    for f in sorted({row[0] for row in gt}):
+        boxes = [np.array([b.as_array() for g, _, b in side if g == f]).reshape(-1, 4) for side in (gt, pred)]
+        hit = iou_matrix(*boxes) >= threshold
+        count += bool((hit.sum(axis=0) > 1).any() or (hit.sum(axis=1) > 1).any())
+    return count
+
+
+@pytest.mark.parametrize("case", sorted(CONTESTED))
+def test_contested_frames_match_the_recount(case):
+    gt, pred, switches = CONTESTED[case]
+    assert contested_frames(gt, pred) > 0
+    want = recount(gt, pred, 0.5)
+    report = evaluate(gt, pred)
+    got = dict(tp=report.true_positives, fp=report.false_positives, fn=report.false_negatives,
+               ids=report.id_switches, idtp=report.id_true_positives, iou_sum=report.iou_sum)
+    assert got == {key: want[key] for key in got}
+    assert report.id_switches == switches

@@ -1,10 +1,11 @@
-"""Sweep the velocity codebook size K: what a smaller codebook costs in quality.
+"""Sweep the velocity codebook size K, or the branch count: what a cheaper setting costs in quality.
 
     PYTHONPATH=src python3 tools/codebook_sweep.py --out sweep.json --workers 2
+    PYTHONPATH=src python3 tools/codebook_sweep.py --axis samples --out samples.json --workers 2
     PYTHONPATH=src python3 tools/codebook_sweep.py --table sweep.json
 
-For every K in ``KS`` and two training recipes, the script fits a codebook
-and trains a model, then reports:
+The K axis (the default): for every K in ``KS`` and two training recipes,
+the script fits a codebook and trains a model, then reports:
 
 - training time (wall seconds and ms per iteration, one BLAS thread);
 - held-out log-density per velocity component: the model's log-probability
@@ -45,6 +46,17 @@ the smallest K that keeps quality. Unmasked runs and the bench recipe are
 reported but do not decide: without the mask, identity is set by the edge
 cells' clamping (ROADMAP item 1), not by K, and 50 iterations leave the
 model close to its initialisation.
+
+The branch-count axis (``--axis samples``): the packaged recipe at K
+``SAMPLES_K``, with ``InpaintParams.num_samples`` set to each count in
+``SAMPLES``, tracks the same six scenes over the same seeds, with and
+without the mask. Decision rule, fixed before the sweep was run: the
+reference is 30 branches, today's default. A count keeps quality when, with
+the mask, on each of the six scenes, its mean MOTA and mean IDF1 over the
+seeds are both at least the reference's mean minus max(0.01, 2 standard
+errors of the reference's mean), the floor rule of the K axis. The default
+is the smallest count that keeps quality. A4's margin is not part of this
+rule: A4 fixes its own branch count.
 """
 
 from __future__ import annotations
@@ -74,6 +86,9 @@ from gaptrack.training import TrainSchedule, fit_codebook, train  # noqa: E402
 
 KS = (16, 32, 64, 128, 256)
 REFERENCE_K = 256
+SAMPLES = (5, 10, 15, 20, 30)
+REFERENCE_SAMPLES = 30
+SAMPLES_K = 128
 SEEDS = range(5)
 RECIPES = {"packaged": (0, 5000), "bench": (1, 50)}  # (RunConfig seed, iterations)
 FAST_SPEED = 5.0
@@ -185,8 +200,8 @@ def heldout_density(weights, book, scene: synth.Scene) -> dict:
             "outside_support": outside / terms}
 
 
-def _track(weights, book, cfg: RunConfig, scene, patience, seed: int, masked: bool) -> dict:
-    tc = replace(cfg.tracker, inpaint=replace(cfg.tracker.inpaint, seed=seed))
+def _track(weights, book, cfg: RunConfig, scene, patience, seed: int, masked: bool, samples: int) -> dict:
+    tc = replace(cfg.tracker, inpaint=replace(cfg.tracker.inpaint, seed=seed, num_samples=samples))
     if patience is not None:
         tc = replace(tc, termination_gap=patience)
     mask = _support_mask(book) if masked else contextlib.nullcontext()
@@ -200,8 +215,9 @@ def _track(weights, book, cfg: RunConfig, scene, patience, seed: int, masked: bo
             "fn": report.false_negatives, "track_s": elapsed}
 
 
-def model_job(job: tuple[int, str, str]) -> list[dict]:
-    k, family, recipe = job
+def model_job(job: tuple[int, str, str, tuple]) -> list[dict]:
+    """Train one model, then track its family's scenes at each branch count in ``job``."""
+    k, family, recipe, branch_counts = job
     cfg_seed, iterations = RECIPES[recipe]
     cfg = RunConfig(seed=cfg_seed)
     cfg = replace(cfg, codebook=replace(cfg.codebook, size=k),
@@ -216,10 +232,12 @@ def model_job(job: tuple[int, str, str]) -> list[dict]:
              "loss_tail": float(np.mean(trace[-10:])),
              **heldout_density(weights, book, _heldout_scene(family))}]
     for name, scene, patience in _tracked_scenes(family):
-        for masked in (False, True):
-            for seed in SEEDS:
-                rows.append({**base, "kind": "track", "scene": name, "masked": masked, "seed": seed,
-                             **_track(weights, book, cfg, scene, patience, seed, masked)})
+        for samples in branch_counts:
+            for masked in (False, True):
+                for seed in SEEDS:
+                    rows.append({**base, "kind": "track", "scene": name, "masked": masked, "seed": seed,
+                                 "samples": samples,
+                                 **_track(weights, book, cfg, scene, patience, seed, masked, samples)})
     return rows
 
 
@@ -271,10 +289,14 @@ def _run(job):
     return model_job(arg) if kind == "model" else a4_job(arg)
 
 
-def sweep(workers: int) -> list[dict]:
-    jobs = [("model", (k, family, recipe)) for recipe in ("packaged", "bench")
-            for family in ("desk", "fast") for k in sorted(KS, reverse=True)]
-    jobs[4:4] = [("a4", k) for k in sorted(KS, reverse=True)]  # long jobs first
+def sweep(workers: int, axis: str) -> list[dict]:
+    if axis == "samples":
+        jobs = [("model", (SAMPLES_K, family, "packaged", SAMPLES)) for family in ("desk", "fast")]
+    else:
+        default = (InpaintParams.num_samples,)
+        jobs = [("model", (k, family, recipe, default)) for recipe in ("packaged", "bench")
+                for family in ("desk", "fast") for k in sorted(KS, reverse=True)]
+        jobs[4:4] = [("a4", k) for k in sorted(KS, reverse=True)]  # long jobs first
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
         return [row for rows in pool.imap_unordered(_run, jobs) for row in rows]
 
@@ -286,7 +308,12 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 def summarize(rows: list[dict]) -> str:
-    """Markdown tables and the decision the rule above takes on ``rows``."""
+    """Markdown tables and the decision the rule above takes on ``rows``, on the axis they sweep."""
+    tracks = [r for r in rows if r["kind"] == "track"]
+    if len({r.get("samples") for r in tracks}) > 1:
+        axis, values, reference, label = "samples", SAMPLES, REFERENCE_SAMPLES, "{} branches"
+    else:
+        axis, values, reference, label = "k", KS, REFERENCE_K, "K {}"
     lines = ["| recipe | K | train s (ms/iter) | held-out log-prob | log-density | outside support |",
              "| --- | --- | --- | --- | --- | --- |"]
     models = sorted((r for r in rows if r["kind"] == "model"), key=lambda r: (r["recipe"], r["family"], r["k"]))
@@ -294,41 +321,42 @@ def summarize(rows: list[dict]) -> str:
         lines.append(f"| {r['recipe']}, {r['family']} | {r['k']} | {r['train_s']:.1f} ({r['train_iter_ms']:.1f}) "
                      f"| {r['log_prob']:.3f} | {r['log_density']:.3f} | {r['outside_support']:.3f} |")
     a4 = {r["k"]: r for r in rows if r["kind"] == "a4"}
-    lines += ["", "| K | A4 multinomial | A4 top-1 | margin |", "| --- | --- | --- | --- |"]
-    lines += [f"| {k} | {a4[k]['multinomial']:.4f} | {a4[k]['top1']:.4f} | {a4[k]['margin']:+.4f} |"
-              for k in sorted(a4)]
-    tracks = [r for r in rows if r["kind"] == "track"]
+    if a4:
+        lines += ["", "| K | A4 multinomial | A4 top-1 | margin |", "| --- | --- | --- | --- |"]
+        lines += [f"| {k} | {a4[k]['multinomial']:.4f} | {a4[k]['top1']:.4f} | {a4[k]['margin']:+.4f} |"
+                  for k in sorted(a4)]
     cells: dict[tuple, dict] = {}
     for r in tracks:
-        cell = cells.setdefault((r["recipe"], r["masked"], r["scene"], r["k"]), {})
+        cell = cells.setdefault((r["recipe"], r["masked"], r["scene"], r[axis]), {})
         for key in ("mota", "idf1", "id_switches", "track_s"):
             cell.setdefault(key, []).append(r[key])
-    for recipe in ("packaged", "bench"):
+    for recipe in sorted({r["recipe"] for r in tracks}, reverse=True):
         for masked in (True, False):
             lines += ["", f"{recipe} recipe, {'mask' if masked else 'no mask'}: "
                       f"MOTA / IDF1 / ID switches / track s, means over {len(SEEDS)} seeds", "",
-                      "| scene | " + " | ".join(f"K {k}" for k in KS) + " |",
-                      "| --- |" + " --- |" * len(KS)]
+                      "| scene | " + " | ".join(label.format(v) for v in values) + " |",
+                      "| --- |" + " --- |" * len(values)]
             for scene in SCENES:
                 row = []
-                for k in KS:
-                    c = cells.get((recipe, masked, scene, k))
+                for v in values:
+                    c = cells.get((recipe, masked, scene, v))
                     row.append("—" if c is None else
                                f"{statistics.fmean(c['mota']):.3f} / {statistics.fmean(c['idf1']):.3f} / "
                                f"{statistics.fmean(c['id_switches']):.1f} / {statistics.fmean(c['track_s']):.2f}")
                 lines.append(f"| {scene} | " + " | ".join(row) + " |")
     keeps = {}
-    for k in KS:
-        ok = k in a4 and a4[k]["margin"] > 0.0
+    for v in values:
+        ok = axis == "samples" or (v in a4 and a4[v]["margin"] > 0.0)
         for scene in SCENES:
             for metric in ("mota", "idf1"):
-                ref_mean, ref_se = _mean_se(cells[("packaged", True, scene, REFERENCE_K)][metric])
-                mean, _ = _mean_se(cells[("packaged", True, scene, k)][metric])
+                ref_mean, ref_se = _mean_se(cells[("packaged", True, scene, reference)][metric])
+                mean, _ = _mean_se(cells[("packaged", True, scene, v)][metric])
                 ok = ok and mean >= ref_mean - max(0.01, 2.0 * ref_se)
-        keeps[k] = ok
-    chosen = min(k for k in KS if keeps[k])
-    lines += ["", "keeps quality: " + ", ".join(f"K {k} {'yes' if ok else 'no'}" for k, ok in keeps.items()),
-              f"chosen: K {chosen}"]
+        keeps[v] = ok
+    chosen = min(v for v in values if keeps[v])
+    lines += ["", "keeps quality: " + ", ".join(f"{label.format(v)} {'yes' if ok else 'no'}"
+                                                 for v, ok in keeps.items()),
+              f"chosen: {label.format(chosen)}"]
     return "\n".join(lines)
 
 
@@ -337,12 +365,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write every row as JSON here, then print the tables")
     parser.add_argument("--table", help="print the tables of an earlier --out file")
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--axis", choices=("k", "samples"), default="k",
+                        help="sweep the codebook size or, at K %d, the branch count" % SAMPLES_K)
     args = parser.parse_args(argv)
     if args.table:
         with open(args.table) as handle:
             rows = json.load(handle)
     elif args.out:
-        rows = sweep(args.workers)
+        rows = sweep(args.workers, args.axis)
         with open(args.out, "w") as handle:
             json.dump(rows, handle, indent=1)
     else:
