@@ -19,6 +19,7 @@ from gaptrack import (
     TrainSchedule,
     fit_codebook,
     generate,
+    make_state,
     solve,
     train,
 )
@@ -52,7 +53,8 @@ detections = np.array([
     [700.0, 80.0, 60.0, 90.0],
 ])
 
-gate = 2.0 * 4.0 * np.log(book.k)  # twice the uniform cost
+# the tracker's gate, twice the uniform cost at the default gate factor
+gate = make_state(weights, book, scene.geometry, frame_rate=scene.meta.frame_rate).gate
 scores = score_detection(
     np.stack([t.last_box.box for t in tracklets]),
     np.stack([t.dist for t in tracklets]),

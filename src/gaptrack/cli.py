@@ -35,7 +35,7 @@ from .motion_model import load_weights, save_weights
 from .scoring import advance, cold_start, new_tracklet, sample_candidates
 from .synth import generate
 from .tracker import detection_arrays, run_sequence
-from .training import TrainingTrack, fit_codebook, next_step_accuracy, train, window_tracks
+from .training import TrainingTrack, fit_codebook, next_step_accuracy, next_step_log_likelihood, train, window_tracks
 
 
 def _positive_int(text: str) -> int:
@@ -139,9 +139,11 @@ def cmd_train(args, cfg: config_mod.RunConfig) -> int:
     elapsed = time.perf_counter() - started
     save_weights(args.out, weights, book.checksum())
     accuracy = next_step_accuracy(weights, tracks, book)
+    log_lik = next_step_log_likelihood(weights, tracks, book)
     print(
         f"trained {schedule.iterations} iterations on {len(tracks)} tracks in {elapsed:.1f}s: "
-        f"loss {trace[0]:.3f} -> {trace[-1]:.3f}, next-step accuracy {accuracy:.3f} -> {args.out}"
+        f"loss {trace[0]:.3f} -> {trace[-1]:.3f}, next-step accuracy {accuracy:.3f}, "
+        f"log-likelihood {log_lik:.3f} vs uniform {-np.log(book.k):.3f} -> {args.out}"
     )
     return 0
 

@@ -48,12 +48,13 @@ class SequenceMeta:
     height: float
 
     def __post_init__(self):
-        if self.frame_rate is None or self.frame_rate <= 0:
-            raise SchemaError(f"sequence frame rate must be positive, got {self.frame_rate}")
+        # NaN fails "0 < v < inf" too
+        if self.frame_rate is None or not 0 < self.frame_rate < math.inf:
+            raise SchemaError(f"sequence frame rate must be finite and positive, got {self.frame_rate}")
         if self.length is None or self.length < 1:
             raise SchemaError(f"sequence length must be >= 1, got {self.length}")
-        if not self.width or not self.height or self.width <= 0 or self.height <= 0:
-            raise SchemaError(f"frame dimensions must be positive, got {self.width}x{self.height}")
+        if any(v is None or not 0 < v < math.inf for v in (self.width, self.height)):
+            raise SchemaError(f"frame dimensions must be finite and positive, got {self.width}x{self.height}")
 
     @property
     def geometry(self) -> FrameGeometry:
@@ -89,17 +90,23 @@ def _row_box(path: str, line_number: int, values: list[float]) -> BoundingBox:
         raise ParseError(path, line_number, f"invalid box: {exc}") from None
 
 
+def _rows(path: Path, min_fields: int):
+    """Each non-blank row of a MOT file as (line number, fields, whole-number frame index)."""
+    for line_number, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if line:
+            values = _parse_row(str(path), line_number, line, min_fields)
+            yield line_number, values, _row_int(str(path), line_number, values[0], "frame index", 1)
+
+
 def read_detections(path) -> list[Detection]:
     """Parse a detection file; the tracker drops low-confidence rows itself."""
     path = Path(path)
     out = []
-    for line_number, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        values = _parse_row(str(path), line_number, line, 7)
-        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
+    for line_number, values, frame in _rows(path, 7):
         box = _row_box(str(path), line_number, values)
+        if math.isnan(values[6]):  # it would fail every confidence threshold without a word
+            raise ParseError(str(path), line_number, "confidence must be a number, got nan")
         out.append(Detection(frame=frame, box=box, confidence=values[6]))
     return out
 
@@ -117,12 +124,7 @@ def read_ground_truth(
     """
     path = Path(path)
     out = []
-    for line_number, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        values = _parse_row(str(path), line_number, line, 6)
-        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
+    for line_number, values, frame in _rows(path, 6):
         track_id = _row_int(str(path), line_number, values[1], "id")
         active, class_id = True, 1
         if len(values) > 6:
@@ -130,38 +132,19 @@ def read_ground_truth(
         if len(values) > 7:
             class_id = _row_int(str(path), line_number, values[7], "class")
         visibility = values[8] if len(values) > 8 else 1.0
-        if not active:
+        kept_class = keep_classes is None or class_id in keep_classes
+        if not active or not kept_class or visibility < min_visibility:
             continue
-        if keep_classes is not None and class_id not in keep_classes:
-            continue
-        if visibility < min_visibility:
-            continue
-        out.append(
-            GroundTruthBox(
-                frame=frame,
-                track_id=track_id,
-                box=_row_box(str(path), line_number, values),
-                active=active,
-                class_id=class_id,
-                visibility=visibility,
-            )
-        )
+        out.append(GroundTruthBox(frame=frame, track_id=track_id, box=_row_box(str(path), line_number, values),
+                                  active=active, class_id=class_id, visibility=visibility))
     return out
 
 
 def read_labeled_boxes(path) -> list[tuple[int, int, BoundingBox]]:
     """Parse (frame, id, box) rows without any filtering; used for result files."""
     path = Path(path)
-    out = []
-    for line_number, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        values = _parse_row(str(path), line_number, line, 6)
-        frame = _row_int(str(path), line_number, values[0], "frame index", 1)
-        track_id = _row_int(str(path), line_number, values[1], "id")
-        out.append((frame, track_id, _row_box(str(path), line_number, values)))
-    return out
+    return [(frame, _row_int(str(path), n, values[1], "id"), _row_box(str(path), n, values))
+            for n, values, frame in _rows(path, 6)]
 
 
 def write_results(path, frame_results) -> None:

@@ -14,10 +14,11 @@ are the velocities behind a zero seed velocity (the same token the tracker
 feeds a fresh single-box tracklet). Scheduled teacher forcing happens inside
 the loss's forward pass: late steps may take a sample of the model's own
 previous prediction as input, drawn just before the recurrence consumes it,
-so each iteration runs the recurrence once. The loss builds one
-(B, T, C, K) array per group, the probabilities, and picks its targets
-before the in-place ``exp`` that makes them; Adam updates its moments and
-the weights in place.
+so each iteration runs the recurrence once. The clean-track measures
+(next-step accuracy and log-likelihood) run the same forward, unforced.
+The loss builds one (B, T, C, K) array per group, the probabilities, and
+picks its targets before the in-place ``exp`` that makes them; Adam
+updates its moments and the weights in place.
 """
 
 from __future__ import annotations
@@ -207,6 +208,36 @@ def _teacher_force_inputs(
         x_t[mask] = decode(sample_batch(prev_probs[mask], rng), codebook)
 
 
+def _forward(weights: ModelWeights, inputs: np.ndarray, targets: np.ndarray, forcing=None):
+    """One group's forward pass, with ``forcing`` as in :func:`loss_and_gradients`.
+
+    Returns the per-step caches, the (B, T, H) hidden states, the (B, T, D)
+    standardized inputs and :func:`target_head_outputs` of every step.
+    """
+    b, t_len, _ = inputs.shape
+    hdim = weights.config.hidden_dim
+    onset = t_len  # the first step forcing may replace
+    if forcing is not None:
+        book, schedule, rng = forcing
+        if schedule.teacher_forcing_prob > 0.0:
+            onset = max(1, int(np.ceil(schedule.teacher_forcing_onset * t_len)))
+    x = inputs.copy() if onset < t_len else inputs
+    h = c = np.zeros((b, hdim))
+    caches = []
+    for t in range(t_len):
+        if t >= onset:
+            _teacher_force_inputs(x[:, t], prev_probs, book, schedule.teacher_forcing_prob, rng)
+        out = lstm_core(weights, x[:, t], h, c)
+        h, c = out["h"], out["c"]
+        caches.append(out)
+        if onset - 1 <= t < t_len - 1:  # the next step may sample from this one
+            prev_probs = head_outputs(weights, h)[1]
+    # Only the recurrence is sequential; heads apply to every step at once.
+    hs = np.stack([k["h"] for k in caches], axis=1)     # (B, T, H)
+    xss = np.stack([k["xs"] for k in caches], axis=1)   # (B, T, D)
+    return (caches, hs, xss, *target_head_outputs(weights, hs, targets))
+
+
 def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LOSS_WEIGHT,
                        forcing=None):
     """Loss and analytic parameter gradients over rectangular sequence groups.
@@ -227,40 +258,18 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
     differences can validate the gradients exactly.
     """
     hdim = weights.config.hidden_dim
-    if forcing is not None:
-        book, schedule, rng = forcing
     forward = []
     nll_sum = 0.0
     sq_sum = 0.0
     n_nll = 0
     n_aux = 0
     for inputs, targets, aux in groups:
-        b, t_len, _ = inputs.shape
-        onset = t_len  # the first step forcing may replace
-        if forcing is not None and schedule.teacher_forcing_prob > 0.0:
-            onset = max(1, int(np.ceil(schedule.teacher_forcing_onset * t_len)))
-        x = inputs.copy() if onset < t_len else inputs
-        aux_s = (aux - weights.input_shift) / weights.input_scale
-        h = np.zeros((b, hdim))
-        c = np.zeros((b, hdim))
-        caches = []
-        for t in range(t_len):
-            if t >= onset:
-                _teacher_force_inputs(x[:, t], prev_probs, book, schedule.teacher_forcing_prob, rng)
-            out = lstm_core(weights, x[:, t], h, c)
-            h, c = out["h"], out["c"]
-            caches.append(out)
-            if onset - 1 <= t < t_len - 1:  # the next step may sample from this one
-                prev_probs = head_outputs(weights, h)[1]
-        # Only the recurrence is sequential; heads apply to every step at once.
-        hs = np.stack([k["h"] for k in caches], axis=1)     # (B, T, H)
-        xss = np.stack([k["xs"] for k in caches], axis=1)   # (B, T, D)
-        picked, probs, res = target_head_outputs(weights, hs, targets)  # probs (B, T, C, K)
+        caches, hs, xss, picked, probs, res = _forward(weights, inputs, targets, forcing)
         nll_sum -= float(picked.sum())
-        diff = xss + res - aux_s
+        diff = xss + res - (aux - weights.input_shift) / weights.input_scale
         sq_sum += float(np.sum(diff * diff))
-        n_nll += b * t_len * targets.shape[2]
-        n_aux += b * t_len * inputs.shape[2]
+        n_nll += targets.size
+        n_aux += inputs.size
         forward.append((caches, hs, xss, probs, diff))
 
     loss = nll_sum / n_nll + aux_weight * sq_sum / n_aux
@@ -420,28 +429,41 @@ def _adam_step(weights: ModelWeights, grads, adam, lr: float, step_idx: int) -> 
         param -= buf
 
 
+def _clean_heads(weights: ModelWeights, tracks, codebook: Codebook):
+    """(targets, target log-probabilities, probabilities) of each equal-length group of clean tracks."""
+    tracks = list(tracks)
+    if not tracks:
+        return
+    vel = _jittered_velocities(tracks, 0.0, None)
+    steps = np.array([len(t.boxes) - 1 for t in tracks])
+    for inputs, targets, _ in _group_by_length(vel, quantize(vel, codebook), steps):
+        _, _, _, picked, probs, _ = _forward(weights, inputs, targets)
+        yield targets, picked, probs
+
+
 def next_step_accuracy(weights: ModelWeights, tracks, codebook: Codebook) -> float:
     """Fraction of (step, component) argmax predictions matching the true cluster.
 
     Tracks are consumed without jitter or teacher forcing; useful as a
     held-out sanity gate for a trained model.
     """
-    hdim = weights.config.hidden_dim
-    tracks = list(tracks)
-    if not tracks:
-        return 0.0
-    vel = _jittered_velocities(tracks, 0.0, None)
-    steps = np.array([len(t.boxes) - 1 for t in tracks])
-    correct = 0
-    for group_inputs, group_targets, _ in _group_by_length(vel, quantize(vel, codebook), steps):
-        for inputs, targets in zip(group_inputs, group_targets):  # one track at a time
-            h = np.zeros((1, hdim))
-            c = np.zeros((1, hdim))
-            hs = []
-            for t in range(inputs.shape[0]):
-                out = lstm_core(weights, inputs[None, t], h, c)
-                h, c = out["h"], out["c"]
-                hs.append(h[0])
-            log_probs = head_outputs(weights, np.stack(hs))[0]
-            correct += int(np.sum(np.argmax(log_probs, axis=2) == targets))
-    return correct / vel.size
+    correct = total = 0
+    for targets, _, probs in _clean_heads(weights, tracks, codebook):
+        correct += int(np.sum(np.argmax(probs, axis=-1) == targets))
+        total += targets.size
+    return correct / total if total else 0.0
+
+
+def next_step_log_likelihood(weights: ModelWeights, tracks, codebook: Codebook) -> float:
+    """Mean per-component log-probability of the clean next steps of ``tracks``.
+
+    Tracks are consumed as by :func:`next_step_accuracy`; a uniform model reads ``-ln k``.
+    Raises :class:`EmptyInputError` when there is no step to score.
+    """
+    total, terms = 0.0, 0
+    for _, picked, _ in _clean_heads(weights, tracks, codebook):
+        total += float(picked.sum())
+        terms += picked.size
+    if not terms:
+        raise EmptyInputError("no tracks to score")
+    return total / terms

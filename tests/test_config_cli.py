@@ -7,6 +7,7 @@ exits 0, and leaves well-formed artifacts behind.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,6 +27,7 @@ from gaptrack import (
     apply_overrides,
     from_dict,
     from_file,
+    load_codebook,
     load_config,
     read_seqinfo,
     write_ground_truth,
@@ -334,6 +336,16 @@ def test_synth_seed_flag_changes_the_scene(tmp_path):
         outs.append((out / "det" / "det.txt").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_train_reports_log_likelihood_against_uniform(pipeline, tmp_path, capsys):
+    rc = main(["train", "--config", str(pipeline["config"]), "--codebook", str(pipeline["book"]),
+               "--out", str(tmp_path / "model.npz"), "--iterations", "2"])
+    assert rc == 0
+    line = capsys.readouterr().out
+    k = load_codebook(pipeline["book"]).k
+    assert re.search(r"next-step accuracy \d\.\d{3}, log-likelihood -\d+\.\d{3} vs uniform ", line)
+    assert f"vs uniform {-math.log(k):.3f} -> " in line
 
 
 def test_track_and_evaluate(pipeline, tmp_path, capsys):

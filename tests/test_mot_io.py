@@ -1,21 +1,28 @@
 """Sequence file round trips and strict parsing."""
 
+import numpy as np
 import pytest
 
 from gaptrack import (
     BoundingBox,
+    Codebook,
     Detection,
+    ModelConfig,
     ParseError,
     SchemaError,
     SequenceMeta,
+    init_weights,
     read_detections,
     read_ground_truth,
     read_seqinfo,
+    save_codebook,
+    save_weights,
     write_detections,
     write_ground_truth,
     write_seqinfo,
     write_results,
 )
+from gaptrack.cli import main
 from gaptrack.mot_io import discover_sequence, read_labeled_boxes
 from gaptrack.tracker import FrameResult
 
@@ -191,6 +198,56 @@ def test_meta_validates_dimensions():
         SequenceMeta(name="x", frame_rate=30.0, length=0, width=640.0, height=480.0)
     with pytest.raises(SchemaError):
         SequenceMeta(name="x", frame_rate=30.0, length=10, width=-1.0, height=480.0)
+
+
+@pytest.mark.parametrize("field", ["frame_rate", "width", "height"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_meta_rejects_non_finite_values(field, value):
+    fields = {"frame_rate": 30.0, "width": 640.0, "height": 480.0, field: value}
+    with pytest.raises(SchemaError, match="finite"):
+        SequenceMeta(name="x", length=10, **fields)
+
+
+@pytest.mark.parametrize("key, value", [("frameRate", "nan"), ("frameRate", "inf"), ("imWidth", "nan")])
+def test_seqinfo_rejects_non_finite_values(tmp_path, key, value):
+    # a NaN frame rate would otherwise get the 3-frame look-ahead of a sequence at 25 fps or more
+    path = tmp_path / "seqinfo.ini"
+    keys = {"frameRate": "30", "seqLength": "10", "imWidth": "640", "imHeight": "480", key: value}
+    path.write_text("[Sequence]\n" + "".join(f"{k}={v}\n" for k, v in keys.items()))
+    with pytest.raises(SchemaError, match="finite"):
+        read_seqinfo(path)
+
+
+def test_detections_reject_a_nan_confidence(tmp_path):
+    # no confidence threshold keeps a NaN row, so it would be dropped without a word
+    path = tmp_path / "det.txt"
+    path.write_text("1,-1,10,10,5,5,0.9,-1,-1,-1\n2,-1,10,10,5,5,nan,-1,-1,-1\n")
+    with pytest.raises(ParseError, match="confidence must be a number, got nan") as info:
+        read_detections(path)
+    assert info.value.line_number == 2
+
+
+def test_track_reports_non_finite_sequence_input_with_an_error_line(tmp_path, capsys):
+    book = Codebook(centroids=np.tile(np.linspace(-0.01, 0.01, 4), (4, 1)), k=4)
+    save_codebook(tmp_path / "book.json", book)
+    weights = init_weights(ModelConfig(num_clusters=4, hidden_dim=4), np.random.default_rng(0))
+    save_weights(tmp_path / "model.npz", weights, book.checksum())
+    seq = tmp_path / "seq"
+    write_seqinfo(seq / "seqinfo.ini", SequenceMeta(name="seq", frame_rate=30.0, length=2, width=640.0, height=480.0))
+    args = ["track", "--model", str(tmp_path / "model.npz"), "--codebook", str(tmp_path / "book.json"),
+            "--sequences", str(seq), "--out", str(tmp_path / "out")]
+
+    (seq / "det").mkdir()
+    (seq / "det" / "det.txt").write_text("1,-1,10,10,5,5,nan,-1,-1,-1\n")
+    assert main(args) == 1
+    assert f"error: {seq / 'det' / 'det.txt'}:1: confidence must be a number, got nan" in capsys.readouterr().err
+
+    (seq / "det" / "det.txt").write_text("1,-1,10,10,5,5,0.9,-1,-1,-1\n")
+    ini = seq / "seqinfo.ini"
+    ini.write_text(ini.read_text().replace("frameRate=30", "frameRate=nan"))
+    assert main(args) == 1
+    assert f"error: {ini}: malformed sequence metadata: sequence frame rate must be finite and positive, got nan" \
+        in capsys.readouterr().err
 
 
 def test_discover_sequence(tmp_path):

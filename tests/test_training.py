@@ -1,5 +1,6 @@
 """Training loop: analytic gradients, convergence, divergence detection."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,14 @@ from gaptrack import (
     fit,
     init_weights,
     next_step_accuracy,
+    next_step_log_likelihood,
     train,
 )
 from gaptrack import training
 from gaptrack.codebook import decode, quantize
 from gaptrack.errors import EmptyInputError
 from gaptrack.geometry import velocities_from_boxes
-from gaptrack.motion_model import head_outputs, lstm_core, sample_batch
+from gaptrack.motion_model import cell_forward, head_outputs, lstm_core, sample_batch
 from gaptrack.training import fit_codebook, loss_and_gradients, window_tracks
 
 FRAME = FrameGeometry(640.0, 480.0)
@@ -292,6 +294,63 @@ def test_training_matches_the_per_track_reference(monkeypatch, k, prob):
     for name in weights.PARAM_NAMES + ("input_shift", "input_scale"):
         assert_same_bits(getattr(weights, name), getattr(want_weights, name))
     assert next_step_accuracy(weights, tracks, book) == ref_next_step_accuracy(weights, tracks, book)
+
+
+def ref_next_step_log_likelihood(weights, tracks, codebook):
+    """Per-track, per-step reference: one single-row cell_forward per step."""
+    total, terms = 0.0, 0
+    for track in tracks:
+        [(inputs, targets, _)] = ref_groups([(track.boxes, track.frame)], codebook)
+        h = c = np.zeros((1, weights.config.hidden_dim))
+        for t in range(inputs.shape[1]):
+            out = cell_forward(weights, inputs[:, t], h, c)
+            h, c = out["h"], out["c"]
+            total += float(out["log_probs"][0, np.arange(4), targets[0, t]].sum())
+            terms += 4
+    return total / terms
+
+
+def test_next_step_log_likelihood_matches_the_per_step_reference():
+    rng = np.random.default_rng(52)
+    tracks = random_walk_tracks(rng, [5, 9, 9, 14, 14, 14, 20] + [25] * 6)
+    book = fit_codebook(tracks, k=16, seed=2, jitter_fraction=0.02)
+    schedule = TrainSchedule(iterations=20, batch_size=8, learning_rate=5e-3, seed=4)
+    weights, _ = train(tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=12), schedule)
+    got = next_step_log_likelihood(weights, tracks, book)
+    assert abs(got - ref_next_step_log_likelihood(weights, tracks, book)) < 1e-12
+    assert got > -math.log(book.k)  # twenty iterations already beat the uniform model
+    with pytest.raises(EmptyInputError):
+        next_step_log_likelihood(weights, [], book)
+
+
+@pytest.mark.parametrize("k", [4, 256, 1024])
+def test_zero_heads_give_the_uniform_log_likelihood(k):
+    rng = np.random.default_rng(53)
+    weights = init_weights(ModelConfig(num_clusters=k, hidden_dim=6), rng)
+    weights.head_w[:] = 0.0  # the recurrence stays random; the logits are zero
+    weights.head_b[:] = 0.0
+    tracks = random_walk_tracks(rng, [4, 7, 7, 12])
+    book = fit(rng.normal(0.0, 0.01, size=(4 * k, 4)), k=k, seed=0)
+    assert abs(next_step_log_likelihood(weights, tracks, book) + math.log(k)) < 1e-12
+
+
+def test_next_step_accuracy_runs_each_length_group_at_once(monkeypatch):
+    rng = np.random.default_rng(54)
+    tracks = random_walk_tracks(rng, [5, 9, 9, 14, 14, 14])  # groups of 4, 8 and 13 steps
+    book = fit(rng.normal(0.0, 0.01, size=(200, 4)), k=5, seed=0)
+    weights = init_weights(ModelConfig(num_clusters=5, hidden_dim=6), rng)
+    rows = []
+    real_core = training.lstm_core
+
+    def counted_core(weights, x, h, c):
+        rows.append(len(x))
+        return real_core(weights, x, h, c)
+
+    monkeypatch.setattr(training, "lstm_core", counted_core)
+    accuracy = next_step_accuracy(weights, tracks, book)
+    assert rows == [1] * 4 + [2] * 8 + [3] * 13  # one call per step per group, not per track
+    monkeypatch.undo()
+    assert accuracy == ref_next_step_accuracy(weights, tracks, book)
 
 
 def test_loss_holds_one_head_tensor_per_group():

@@ -76,13 +76,13 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from gaptrack import geometry, motion_model, synth, tracker  # noqa: E402
+from gaptrack import geometry, synth, tracker  # noqa: E402
 from gaptrack.codebook import quantize  # noqa: E402
 from gaptrack.config import RunConfig  # noqa: E402
 from gaptrack.metrics import evaluate  # noqa: E402
 from gaptrack.motion_model import ModelConfig  # noqa: E402
 from gaptrack.scoring import InpaintParams, advance, cold_start, inpaint, new_tracklet  # noqa: E402
-from gaptrack.training import TrainSchedule, fit_codebook, train  # noqa: E402
+from gaptrack.training import TrainSchedule, fit_codebook, next_step_log_likelihood, train  # noqa: E402
 
 KS = (16, 32, 64, 128, 256)
 REFERENCE_K = 256
@@ -178,26 +178,18 @@ def _cell_widths(book) -> np.ndarray:
 
 
 def heldout_density(weights, book, scene: synth.Scene) -> dict:
-    """Mean per-component log-probability and log-density of clean held-out next steps."""
-    log_width = np.log(_cell_widths(book))
-    lo, hi = book.centroids[:, 0], book.centroids[:, -1]
-    log_p, log_density, outside, terms = 0.0, 0.0, 0, 0
-    for track in scene.training_tracks(window=None):
-        vel = geometry.velocities_from_boxes(track.boxes, track.frame)
-        cells = quantize(vel, book)
-        x = np.vstack([np.zeros((1, 4)), vel[:-1]])
-        h = np.zeros((1, weights.config.hidden_dim))
-        c = np.zeros_like(h)
-        for t in range(len(vel)):
-            out = motion_model.cell_forward(weights, x[None, t], h, c)
-            h, c = out["h"], out["c"]
-            picked = out["log_probs"][0, np.arange(4), cells[t]]
-            log_p += float(picked.sum())
-            log_density += float((picked - log_width[np.arange(4), cells[t]]).sum())
-            outside += int(((vel[t] < lo) | (vel[t] > hi)).sum())
-            terms += 4
-    return {"log_prob": log_p / terms, "log_density": log_density / terms,
-            "outside_support": outside / terms}
+    """Mean per-component log-probability and log-density of clean held-out next steps.
+
+    The log-probability is ``training.next_step_log_likelihood``'s; the
+    log-density subtracts the mean log width of the clean cells from it.
+    """
+    tracks = scene.training_tracks(window=None)
+    vel = np.concatenate([geometry.velocities_from_boxes(t.boxes, t.frame) for t in tracks])
+    log_width = np.log(_cell_widths(book))[np.arange(4), quantize(vel, book)]
+    outside = (vel < book.centroids[:, 0]) | (vel > book.centroids[:, -1])
+    log_p = next_step_log_likelihood(weights, tracks, book)
+    return {"log_prob": log_p, "log_density": log_p - float(log_width.mean()),
+            "outside_support": float(outside.mean())}
 
 
 def _track(weights, book, cfg: RunConfig, scene, patience, seed: int, masked: bool, samples: int) -> dict:
