@@ -43,7 +43,7 @@ start = cold_start(weights)
 tracklets = [new_tracklet(obj, 1, scene.trajectories[obj][0], start) for obj in (1, 2)]
 for i in range(1, 20):
     advance(tracklets, np.stack([scene.trajectories[t.tracklet_id][i] for t in tracklets]),
-            i + 1, scene.geometry, weights)
+            scene.geometry, weights)
 
 # frame 21 offers each object's true box plus one clutter detection,
 # one (x, y, w, h) row each

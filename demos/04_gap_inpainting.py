@@ -46,7 +46,7 @@ obj = 2
 truth = scene.trajectories[obj]
 tracklet = new_tracklet(1, 1, truth[0], cold_start(weights))
 for i in range(1, 20):
-    advance([tracklet], truth[i : i + 1], i + 1, scene.geometry, weights)
+    advance([tracklet], truth[i : i + 1], scene.geometry, weights)
 
 gap = 4  # frames 21, 22, 23 missing; frame 24 is the rejoin
 lookahead = [
@@ -58,7 +58,7 @@ params = InpaintParams(num_samples=12, t_trs=2, sampling="multinomial")
 # the branches draw from the stream of (params.seed, tracklet 1, frame 21),
 # keyed by the first frame of the gap rather than the current frame
 candidates = sample_candidates(
-    [tracklet], [gap], lookahead, params, weights, book, scene.geometry, 24,
+    [tracklet], lookahead, params, weights, book, scene.geometry, 24,
 )
 
 print(f"sampled       {len(candidates)} branches over a 3-frame gap")

@@ -206,13 +206,13 @@ def cmd_inpaint_demo(args, cfg: config_mod.RunConfig) -> int:
 
     tracklet = new_tracklet(1, 1, boxes[0], cold_start(weights))
     for i in range(1, prefix):
-        advance([tracklet], boxes[i : i + 1], i + 1, scene.geometry, weights)
+        advance([tracklet], boxes[i : i + 1], scene.geometry, weights)
     current = prefix + gap  # 1-based frame the tracklet tries to rejoin
     by_frame = detection_arrays(scene.detections, cfg.tracker.min_detection_confidence)
     lookahead = [by_frame.get(current + off, np.zeros((0, 4))) for off in range(t_trs + 1)]
 
     candidates = sample_candidates(
-        [tracklet], [gap], lookahead, cfg.tracker.inpaint, weights, book, scene.geometry, current
+        [tracklet], lookahead, cfg.tracker.inpaint, weights, book, scene.geometry, current
     )
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -287,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", choices=("multinomial", "top1"))
     p.add_argument("--gate-factor", type=float, metavar="X")
     p.add_argument(
-        "--suppress-inpainted", action="store_true",
+        "--suppress-inpainted", action="store_false", default=None, dest="emit_inpainted",
         help="emit only detection-backed boxes, skipping bridged gap boxes",
     )
     p.set_defaults(func=cmd_track, mapping={
         "samples": "tracker.inpaint.num_samples", "sampling": "tracker.inpaint.sampling",
-        "gate_factor": "tracker.gate_factor",
+        "gate_factor": "tracker.gate_factor", "emit_inpainted": "tracker.emit_inpainted",
     })
 
     p = sub.add_parser("evaluate", help="score a result file against ground truth")
@@ -322,16 +322,11 @@ def main(argv=None) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         cfg = config_mod.apply_overrides(cfg, _overrides(args, args.mapping))
-        if getattr(args, "suppress_inpainted", False):
-            cfg = config_mod.apply_overrides(cfg, {"tracker.emit_inpainted": False})
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GaptrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GaptrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,9 @@ _EXACT_FIT_LIMIT = 64
 # Centroids closer than this are considered duplicates.
 _DEDUP_TOL = 1e-12
 
+# Lloyd iterations a component fit may take before it stops unconverged.
+_MAX_LLOYD_ITERS = 100
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -123,7 +126,7 @@ def _kmeans_pp_seeds(values: np.ndarray, weights: np.ndarray, k: int, rng: np.ra
     return np.sort(seeds)
 
 
-def _fit_lloyd(values: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator, max_iters: int) -> np.ndarray:
+def _fit_lloyd(values: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ plus Lloyd iterations on weighted distinct values.
 
     In 1-D the assignment step reduces to bucketing values by the midpoints
@@ -133,7 +136,7 @@ def _fit_lloyd(values: np.ndarray, weights: np.ndarray, k: int, rng: np.random.G
     centroids = _kmeans_pp_seeds(values, weights, k, rng)
     w_cum = np.concatenate([[0.0], np.cumsum(weights)])
     wx_cum = np.concatenate([[0.0], np.cumsum(weights * values)])
-    for _ in range(max_iters):
+    for _ in range(_MAX_LLOYD_ITERS):
         mids = 0.5 * (centroids[:-1] + centroids[1:])
         # boundary index of the first value belonging to each cluster
         starts = np.concatenate([[0], np.searchsorted(values, mids, side="left"), [len(values)]])
@@ -187,13 +190,13 @@ def _spread_duplicates(centroids: np.ndarray, values: np.ndarray, k: int) -> np.
     return cents
 
 
-def _fit_component(values: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator, max_iters: int) -> np.ndarray:
+def _fit_component(values: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     if len(values) <= _EXACT_FIT_LIMIT:
         return _fit_exact(values, weights, k)
-    return _spread_duplicates(_fit_lloyd(values, weights, k, rng, max_iters), values, k)
+    return _spread_duplicates(_fit_lloyd(values, weights, k, rng), values, k)
 
 
-def fit(samples, k: int, seed: int, max_iters: int = 100) -> Codebook:
+def fit(samples, k: int, seed: int) -> Codebook:
     """Fit four independent 1-D codebooks of common size to velocity samples.
 
     ``samples`` is an (N, 4) array of velocities. Each component is
@@ -222,7 +225,7 @@ def fit(samples, k: int, seed: int, max_iters: int = 100) -> Codebook:
     rows = []
     for c, (values, weights) in enumerate(per_component):
         rng = np.random.default_rng([seed, c])
-        rows.append(_fit_component(values, weights, k_eff, rng, max_iters))
+        rows.append(_fit_component(values, weights, k_eff, rng))
     return Codebook(centroids=np.stack(rows), k=k_eff)
 
 

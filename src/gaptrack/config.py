@@ -178,10 +178,6 @@ def from_file(path) -> RunConfig:
     return from_dict(data)
 
 
-def to_file(path, config: RunConfig) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
-
-
 def load_config(path=None) -> RunConfig:
     """Resolve the active config: explicit path, then $GAPTRACK_CONFIG, then defaults."""
     if path is not None:

@@ -132,6 +132,8 @@ def read_ground_truth(
         if len(values) > 7:
             class_id = _row_int(str(path), line_number, values[7], "class")
         visibility = values[8] if len(values) > 8 else 1.0
+        if math.isnan(visibility):  # it would pass every visibility threshold without a word
+            raise ParseError(str(path), line_number, "visibility must be a number, got nan")
         kept_class = keep_classes is None or class_id in keep_classes
         if not active or not kept_class or visibility < min_visibility:
             continue

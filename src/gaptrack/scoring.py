@@ -10,6 +10,10 @@ origin box and distribution plus every detection, builds one velocity tensor,
 quantizes it in one call and sums the gathered component log-probabilities
 into an (N, M) matrix.
 
+A tracklet keeps no lifecycle state besides its boxes: its gap on a frame
+is that frame minus its last frame, and ``advance`` lands each box on the
+frame after the tracklet's last one.
+
 When tracklets have unobserved frames, ``inpaint`` bridges their gaps by
 sampling many candidate continuations of every gapped tracklet as one
 stacked model batch, rejecting those whose box at the current frame fails to
@@ -59,11 +63,6 @@ from .motion_model import (
 
 SOURCE_DETECTED = "detected"
 SOURCE_INPAINTED = "inpainted"
-
-STATUS_TENTATIVE = "tentative"
-STATUS_ACTIVE = "active"
-STATUS_GAPPED = "gapped"
-STATUS_TERMINATED = "terminated"
 
 SAMPLING_MULTINOMIAL = "multinomial"
 SAMPLING_TOP1 = "top1"
@@ -133,16 +132,17 @@ class Tracklet:
     tracklet is gapped (see :func:`sample_candidates`); committing a box
     through :func:`advance` or :func:`reattach` drops it.
 
-    The boxes are the only counters. A tentative tracklet dies at its first
-    missed frame, so its hit count is ``len(boxes)``; a gapped tracklet's gap
-    on frame ``f`` is ``f - last_frame``.
+    The boxes are the only counters; the tracker keeps no status. A
+    tentative tracklet dies at its first missed frame, so its hit count is
+    ``len(boxes)`` and it is confirmed once that reaches the tracker's
+    ``birth_confirmation``. On frame ``f`` a tracklet bids in the first pass
+    if ``last_frame == f - 1``, and otherwise has a gap of ``f - last_frame``.
     """
 
     tracklet_id: int
     boxes: list[TrackletBox]
     state: RecurrentState
     dist: np.ndarray
-    status: str = STATUS_TENTATIVE
     branch_store: BranchStore | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -205,27 +205,17 @@ def score_detection(
     return log_likelihood(dists[:, None], cells)
 
 
-def advance(
-    tracklets: list[Tracklet],
-    boxes: np.ndarray,
-    frame_index: int,
-    frame: FrameGeometry,
-    weights: ModelWeights,
-) -> None:
-    """Append each tracklet's detection on ``frame_index``; one model step feeds every velocity.
+def advance(tracklets: list[Tracklet], boxes: np.ndarray, frame: FrameGeometry, weights: ModelWeights) -> None:
+    """Append each tracklet's detection on the frame after its last box; one model step feeds every velocity.
 
     ``boxes`` is (N, 4), row ``i`` the detection of ``tracklets[i]``; each
-    tracklet keeps its row as its new last box.
+    tracklet keeps its row as its new last box. The tracklets need not share
+    a last frame.
     """
     if len(tracklets) != len(boxes):
         raise ValueError(f"advance got {len(tracklets)} tracklets but {len(boxes)} boxes")
     if not tracklets:
         return
-    for tracklet in tracklets:
-        if frame_index != tracklet.last_frame + 1:
-            raise SequencingError(
-                f"advance expects frame {tracklet.last_frame + 1}, got {frame_index}"
-            )
     origins = np.stack([t.last_box.box for t in tracklets])
     hidden, cell, probs = step(
         weights,
@@ -236,7 +226,7 @@ def advance(
     for i, (tracklet, box) in enumerate(zip(tracklets, boxes)):
         tracklet.state = RecurrentState(hidden=hidden[i], cell=cell[i])
         tracklet.dist = probs[i]
-        tracklet.boxes.append(TrackletBox(frame_index, box, SOURCE_DETECTED))
+        tracklet.boxes.append(TrackletBox(tracklet.last_frame + 1, box, SOURCE_DETECTED))
         tracklet.branch_store = None
 
 
@@ -355,7 +345,6 @@ def _reaches_any(extent: np.ndarray, dets: np.ndarray) -> np.ndarray:
 
 def sample_candidates(
     tracklets: list[Tracklet],
-    gaps,
     lookahead: list[np.ndarray],
     params: InpaintParams,
     weights: ModelWeights,
@@ -365,8 +354,8 @@ def sample_candidates(
 ) -> list[InpaintCandidate]:
     """Sample every branch of every tracklet's gap-bridging search, rejected ones included.
 
-    ``gaps[i]`` is how many frames tracklet ``i`` must move to reach the
-    current frame ``frame_index``, which its last frame must agree with.
+    A tracklet's gap is how many frames it must move to reach the current
+    frame ``frame_index``: ``frame_index - last_frame``, at least 1.
     ``lookahead`` is a list of per-frame (M, 4) detection arrays for the
     current frame and up to ``t_trs`` frames beyond it (shorter near the
     sequence end). Each branch is one trajectory per gap that
@@ -392,21 +381,17 @@ def sample_candidates(
     Candidates carry no ``dist_at_scoring``; :func:`inpaint` computes it for
     the winners.
     """
-    if len(gaps) != len(tracklets):
-        raise ValueError(f"got {len(tracklets)} tracklets but {len(gaps)} gaps")
-    if any(g < 1 for g in gaps):
-        raise SequencingError(f"inpaint needs gaps of at least 1 frame, got {min(gaps)}")
+    for t in tracklets:
+        if t.last_frame >= frame_index:
+            raise SequencingError(
+                f"tracklet {t.tracklet_id} last seen on frame {t.last_frame} has no gap on frame {frame_index}"
+            )
     if len(lookahead) < 1:
         raise ValueError("lookahead must include the current frame's detections")
     ids = [t.tracklet_id for t in tracklets]
     if len(set(ids)) != len(ids):
         raise ValueError("inpaint needs distinct tracklet IDs")
-    for t, g in zip(tracklets, gaps):
-        if t.last_frame + g != frame_index:
-            raise SequencingError(
-                f"tracklet {t.tracklet_id} last seen on frame {t.last_frame} cannot have a gap of {g} "
-                f"on frame {frame_index}"
-            )
+    gaps = [frame_index - t.last_frame for t in tracklets]
     extra = len(lookahead) - 1
     branches = min(1, params.num_samples) if params.sampling == SAMPLING_TOP1 else params.num_samples
     if branches == 0 or not tracklets:
@@ -421,7 +406,7 @@ def sample_candidates(
     if not order:
         return []
     chosen = [tracklets[i] for i in order]
-    gap = [int(gaps[i]) for i in order]
+    gap = [gaps[i] for i in order]
     needs = [g + extra for g in gap]
     stores = [
         _branch_store(t, need, extra, branches, params, weights, codebook, frame)
@@ -633,7 +618,6 @@ def _check_finite(hidden: np.ndarray) -> None:
 
 def inpaint(
     tracklets: list[Tracklet],
-    gaps,
     lookahead: list[np.ndarray],
     params: InpaintParams,
     weights: ModelWeights,
@@ -643,6 +627,7 @@ def inpaint(
 ) -> list[InpaintCandidate | None]:
     """Each tracklet's best surviving continuation, or None where every branch rejects.
 
+    Each tracklet bridges its own gap, ``frame_index - last_frame``.
     ``lookahead`` is the list of (M, 4) detection arrays, current frame
     first, that :func:`sample_candidates` takes. The branches come from that
     call, which extends each tracklet's branch store; no other part of a
@@ -656,7 +641,7 @@ def inpaint(
     The result is aligned with ``tracklets``.
     """
     best: dict[int, InpaintCandidate] = {}
-    for cand in sample_candidates(tracklets, gaps, lookahead, params, weights, codebook, frame, frame_index):
+    for cand in sample_candidates(tracklets, lookahead, params, weights, codebook, frame, frame_index):
         if cand.rejected:
             continue
         held = best.get(cand.tracklet_id)

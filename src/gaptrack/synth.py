@@ -181,16 +181,14 @@ class Scene:
                 rows.append((frame, obj_id, BoundingBox(x, y, w, h)))
         return rows
 
-    def training_tracks(
-        self, window: int | None = TrainSchedule.window, stride: int | None = None
-    ) -> list[TrainingTrack]:
+    def training_tracks(self, window: int | None = TrainSchedule.window) -> list[TrainingTrack]:
         """Cut trajectories into fixed-length windows for the training loop.
 
         See :func:`training.window_tracks`; ``window=None`` keeps whole
         trajectories.
         """
         runs = (self.trajectories[obj_id] for obj_id in sorted(self.trajectories))
-        return window_tracks(runs, self.geometry, window, stride)
+        return window_tracks(runs, self.geometry, window)
 
     def write(self, seq_dir) -> None:
         """Lay the scene out as a sequence directory: seqinfo, gt, detections."""

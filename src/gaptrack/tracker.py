@@ -19,7 +19,8 @@ the shared cold start, with no model call, and must be matched again before
 they count: a tentative tracklet confirms once it holds
 ``birth_confirmation`` boxes and dies at its first missed frame. A confirmed
 tracklet's gap on frame ``f`` is ``f`` minus its last frame, and it is
-terminated once that exceeds ``termination_gap``.
+terminated once that exceeds ``termination_gap``. No status is kept beside
+the boxes: a tracklet's pass, gap and confirmation are all read from them.
 
 Boxes are (x, y, w, h) array rows: ``run_sequence`` groups the detection
 records into one (M, 4) array per frame, and :class:`BoundingBox` records
@@ -46,10 +47,6 @@ from .geometry import BoundingBox, FrameGeometry
 from .motion_model import ModelWeights, RecurrentState
 from .scoring import (
     SOURCE_DETECTED,
-    STATUS_ACTIVE,
-    STATUS_GAPPED,
-    STATUS_TENTATIVE,
-    STATUS_TERMINATED,
     InpaintParams,
     Tracklet,
     advance,
@@ -189,19 +186,19 @@ def process_frame(
     matches: list[tuple[Tracklet, int]] = []  # (tracklet, detection index), both passes
 
     # Pass 1: tracklets that were present on the previous frame.
-    live = [t for t in state.tracklets if t.status in (STATUS_TENTATIVE, STATUS_ACTIVE)]
+    live = [t for t in state.tracklets if t.last_frame == frame_index - 1]
     if live and len(detections):
         origins = np.stack([t.last_box.box for t in live])
         pairs = _assign(origins, np.stack([t.dist for t in live]), detections, state)
         matches = [(live[i], j) for i, j in pairs]
 
     # Pass 2: gapped tracklets bid for the leftovers through sampled bridges.
-    gapped = [t for t in state.tracklets if t.status == STATUS_GAPPED]
+    gapped = [t for t in state.tracklets if t.last_frame != frame_index - 1]
     claimed = {j for _, j in matches}
     remaining = [j for j in range(len(detections)) if j not in claimed]
     if gapped and remaining and config.inpaint.num_samples > 0:
         winners = inpaint(
-            gapped, [frame_index - t.last_frame for t in gapped], [detections, *future_detections],
+            gapped, [detections, *future_detections],
             config.inpaint, state.weights, state.codebook, state.frame, frame_index,
         )
         bidders = [(t, cand) for t, cand in zip(gapped, winners) if cand is not None]
@@ -217,7 +214,7 @@ def process_frame(
     # Rows go in tracklet-ID order, so the batch layout does not depend on
     # which pass matched whom.
     matches.sort(key=lambda match: match[0].tracklet_id)
-    advance([t for t, _ in matches], detections[[j for _, j in matches]], frame_index, state.frame, state.weights)
+    advance([t for t, _ in matches], detections[[j for _, j in matches]], state.frame, state.weights)
 
     # Births: whatever no tracklet claimed opens a tentative tracklet.
     claimed.update(j for _, j in matches)
@@ -234,21 +231,19 @@ def process_frame(
     survivors = []
     terminated = []
     for tracklet in state.tracklets:
+        confirmed = len(tracklet.boxes) >= config.birth_confirmation
         if tracklet.last_frame == frame_index:
-            if tracklet.status != STATUS_TENTATIVE or len(tracklet.boxes) >= config.birth_confirmation:
-                tracklet.status = STATUS_ACTIVE
+            if confirmed:
                 box = BoundingBox(*tracklet.last_box.box.tolist())
                 committed.append((tracklet.tracklet_id, box, SOURCE_DETECTED))
             survivors.append(tracklet)
-        elif tracklet.status == STATUS_TENTATIVE:
+        elif not confirmed:
             continue  # one missed frame kills an unconfirmed tracklet
         elif frame_index - tracklet.last_frame > config.termination_gap:
-            tracklet.status = STATUS_TERMINATED
             tracklet.branch_store = None
             state.finished.append(tracklet)
             terminated.append(tracklet.tracklet_id)
         else:
-            tracklet.status = STATUS_GAPPED
             survivors.append(tracklet)
     state.tracklets = survivors
 
@@ -323,7 +318,7 @@ def run_sequence(detections, meta, weights, codebook, config: TrackerConfig | No
     for tracklet in state.tracklets:
         tracklet.branch_store = None
     tracklets = sorted(
-        (t for t in state.tracklets + state.finished if t.status != STATUS_TENTATIVE),
+        (t for t in state.tracklets + state.finished if len(t.boxes) >= config.birth_confirmation),
         key=lambda t: t.tracklet_id,
     )
     # A detected box leaves as the input record its row was read from, found

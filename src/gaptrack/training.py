@@ -106,19 +106,16 @@ class TrainingTrack:
         object.__setattr__(self, "boxes", boxes)
 
 
-def window_tracks(runs, frame: FrameGeometry, window: int | None,
-                  stride: int | None = None) -> list[TrainingTrack]:
-    """Cut runs of consecutive boxes into training tracks of ``window`` boxes.
+def window_tracks(runs, frame: FrameGeometry, window: int | None) -> list[TrainingTrack]:
+    """Cut runs of consecutive boxes into non-overlapping training tracks of ``window`` boxes.
 
-    ``window=None`` keeps each run whole. The stride defaults to the window
-    length (non-overlapping); chunks shorter than 3 boxes are dropped since
-    they carry no velocity transition to learn.
+    ``window=None`` keeps each run whole. Chunks shorter than 3 boxes are
+    dropped since they carry no velocity transition to learn.
     """
     tracks = []
     for boxes in runs:
         size = window or len(boxes)
-        step = (stride or size) if window else size
-        for start in range(0, len(boxes), step):
+        for start in range(0, len(boxes), size):
             chunk = boxes[start:start + size]
             if len(chunk) >= 3:
                 tracks.append(TrainingTrack(chunk, frame))
@@ -238,14 +235,13 @@ def _forward(weights: ModelWeights, inputs: np.ndarray, targets: np.ndarray, for
     return (caches, hs, xss, *target_head_outputs(weights, hs, targets))
 
 
-def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LOSS_WEIGHT,
-                       forcing=None):
+def loss_and_gradients(weights: ModelWeights, groups, forcing=None):
     """Loss and analytic parameter gradients over rectangular sequence groups.
 
     ``groups`` is a list of (inputs (B, T, D), targets (B, T, C) int,
     aux_targets (B, T, D)) batches. The negative log-likelihood is averaged
     over every (sequence, step, component) term across all groups; the
-    residual term is ``aux_weight`` times the mean squared error of
+    residual term is ``AUX_LOSS_WEIGHT`` times the mean squared error of
     ``standardized input + residual`` against the standardized next velocity.
 
     ``forcing``, when given, is ``(codebook, schedule, rng)``: scheduled
@@ -272,7 +268,7 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
         n_aux += inputs.size
         forward.append((caches, hs, xss, probs, diff))
 
-    loss = nll_sum / n_nll + aux_weight * sq_sum / n_aux
+    loss = nll_sum / n_nll + AUX_LOSS_WEIGHT * sq_sum / n_aux
     grads = {name: np.zeros_like(arr) for name, arr in weights.params().items()}
 
     n_comp, _, n_cells = weights.head_w.shape
@@ -284,7 +280,7 @@ def loss_and_gradients(weights: ModelWeights, groups, aux_weight: float = AUX_LO
         dlogits /= n_nll
         sub = np.take_along_axis(dlogits, targets[..., None], axis=3) - 1.0 / n_nll
         np.put_along_axis(dlogits, targets[..., None], sub, axis=3)
-        dres = (2.0 * aux_weight / n_aux) * diff
+        dres = (2.0 * AUX_LOSS_WEIGHT / n_aux) * diff
 
         hs_flat = hs.reshape(n_flat, hdim)
         dl_flat = dlogits.reshape(n_flat, n_comp * n_cells)
@@ -349,7 +345,6 @@ def train(
     codebook: Codebook,
     config: ModelConfig,
     schedule: TrainSchedule,
-    rng: np.random.Generator | None = None,
 ):
     """Train a fresh model on box tracks; returns (weights, per-iteration loss trace).
 
@@ -357,8 +352,9 @@ def train(
     their boxes and extracts their velocities (:func:`_jittered_velocities`),
     quantizes them, and takes one Adam step on the hand-derived gradients
     with per-parameter norm clipping. Teacher forcing happens inside the
-    forward pass of :func:`loss_and_gradients`, which draws from ``rng``
-    after the iteration's jitter draw.
+    forward pass of :func:`loss_and_gradients`, which draws from the run's
+    one generator, seeded by ``schedule.seed``, after the iteration's jitter
+    draw.
     Raises :class:`TrainingDivergedError` with the iteration index if the
     loss leaves the finite range. Deterministic given the dataset and
     ``schedule.seed``.
@@ -370,8 +366,7 @@ def train(
         raise ValueError(
             f"model expects {config.num_clusters} clusters but codebook has k={codebook.k}"
         )
-    if rng is None:
-        rng = np.random.default_rng(schedule.seed)
+    rng = np.random.default_rng(schedule.seed)
 
     weights = init_weights(config, rng)
     # Standardization constants must reflect what the model actually consumes:

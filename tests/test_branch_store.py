@@ -32,7 +32,7 @@ from gaptrack import (
     tracker,
     train,
 )
-from gaptrack.scoring import SAMPLING_TOP1, SOURCE_DETECTED, SOURCE_INPAINTED, STATUS_GAPPED
+from gaptrack.scoring import SAMPLING_TOP1, SOURCE_DETECTED, SOURCE_INPAINTED
 from gaptrack.synth import drop_detections
 
 from test_inpaint import assert_same_candidate, gap_setup, object_boxes
@@ -117,10 +117,10 @@ def test_extending_a_gap_matches_sampling_it_fresh(tiny_model, clean_scene, monk
     rows = model_rows(monkeypatch)
     for gap in (3, 4, 5):
         rows.clear()
-        got = sample_candidates([t], [gap], lookahead(20 + gap), params, weights, book, geometry, 20 + gap)
+        got = sample_candidates([t], lookahead(20 + gap), params, weights, book, geometry, 20 + gap)
         # past the first frame of the gap, each branch takes one step
         assert sum(rows) == (30 * (gap + 2 - 1) if gap == 3 else 30)
-    want = sample_candidates([fresh], [5], lookahead(25), params, weights, book, geometry, 25)
+    want = sample_candidates([fresh], lookahead(25), params, weights, book, geometry, 25)
     assert len(got) == len(want) == 30
     assert any(not c.rejected for c in want)
     for a, b in zip(got, want):
@@ -130,8 +130,8 @@ def test_extending_a_gap_matches_sampling_it_fresh(tiny_model, clean_scene, monk
     # than the ring keeps, rebuilds the population with the same draws.
     for gap, window in ((4, 3), (2, 1), (4, 3)):
         ahead = lookahead(20 + gap)[:window]
-        got = sample_candidates([t], [gap], ahead, params, weights, book, geometry, 20 + gap)
-        want = sample_candidates([replace(t, branch_store=None)], [gap], ahead, params, weights, book,
+        got = sample_candidates([t], ahead, params, weights, book, geometry, 20 + gap)
+        want = sample_candidates([replace(t, branch_store=None)], ahead, params, weights, book,
                                  geometry, 20 + gap)
         for a, b in zip(got, want):
             assert_same_candidate(a, b)
@@ -143,7 +143,7 @@ def test_a_changed_call_rebuilds_the_store(tiny_model, clean_scene, change):
     geometry = clean_scene.geometry
     t, current, lookahead = gap_setup(clean_scene, weights, obj_id=3, gap=3)
     params = InpaintParams(num_samples=20, iou_threshold=0.3, seed=4)
-    sample_candidates([t], [3], lookahead, params, weights, book, geometry, current)
+    sample_candidates([t], lookahead, params, weights, book, geometry, current)
     assert t.branch_store is not None
 
     if change == "seed":
@@ -155,12 +155,12 @@ def test_a_changed_call_rebuilds_the_store(tiny_model, clean_scene, change):
     else:
         weights = replace(weights, head_b=weights.head_b + np.linspace(0.0, 1.0, book.k))
     fresh = replace(t, branch_store=None)
-    got = sample_candidates([t], [3], lookahead, params, weights, book, geometry, current)
-    want = sample_candidates([fresh], [3], lookahead, params, weights, book, geometry, current)
+    got = sample_candidates([t], lookahead, params, weights, book, geometry, current)
+    want = sample_candidates([fresh], lookahead, params, weights, book, geometry, current)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert_same_candidate(a, b)
-    [a], [b] = (inpaint([x], [3], lookahead, params, weights, book, geometry, current) for x in (t, fresh))
+    [a], [b] = (inpaint([x], lookahead, params, weights, book, geometry, current) for x in (t, fresh))
     assert_same_candidate(a, b)
     assert (a is None) or np.array_equal(a.dist_at_scoring, b.dist_at_scoring)
 
@@ -226,10 +226,12 @@ def test_only_gapped_tracklets_hold_a_store(tiny_model, clean_scene, monkeypatch
     held = []
     original = tracker.process_frame
 
-    def checked(state, *args, **kwargs):
-        result = original(state, *args, **kwargs)
+    def checked(state, frame_index, *args, **kwargs):
+        result = original(state, frame_index, *args, **kwargs)
         holders = [t for t in state.tracklets if t.branch_store is not None]
-        assert all(t.status == STATUS_GAPPED for t in holders)
+        # a holder is gapped: confirmed, and missed on the frame just processed
+        assert all(len(t.boxes) >= state.config.birth_confirmation and t.last_frame < frame_index
+                   for t in holders)
         assert all(t.branch_store is None for t in state.finished)
         held.extend(holders)
         return result

@@ -33,7 +33,7 @@ from gaptrack import (
     write_ground_truth,
 )
 from gaptrack.cli import main
-from gaptrack.config import ENV_CONFIG, to_file
+from gaptrack.config import ENV_CONFIG
 
 
 def test_defaults():
@@ -223,7 +223,7 @@ def test_nullable_fields_accept_null():
 def test_file_round_trip(tmp_path):
     cfg = from_dict({"seed": 3, "training": {"iterations": 7, "clip_norm": None}})
     path = tmp_path / "run.json"
-    to_file(path, cfg)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert from_file(path) == cfg
     assert from_dict(cfg.to_dict()) == cfg
 
@@ -515,6 +515,7 @@ def test_evaluate_rejects_a_nan_frame_with_an_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("1,1,0,0,20,40,0.5,1,1.0", "active flag must be a whole number, got 0.5"),
     ("1,1,0,0,20,40,1,nan,1.0", "class must be a whole number, got nan"),
+    ("1,1,0,0,20,40,1,1,nan", "visibility must be a number, got nan"),
 ])
 def test_evaluate_rejects_a_malformed_gt_column_with_an_error_line(tmp_path, capsys, row, message):
     gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"

@@ -78,7 +78,7 @@ def grown_tracklet(scene, weights, obj_id, upto):
     boxes = object_boxes(scene, obj_id)
     t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        advance([t], boxes[frame_index - 1 : frame_index], frame_index, scene.geometry, weights)
+        advance([t], boxes[frame_index - 1 : frame_index], scene.geometry, weights)
     return t
 
 
@@ -125,42 +125,35 @@ def test_gap_must_be_positive(tiny_model, clean_scene):
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=4)
     geometry = clean_scene.geometry
-    with pytest.raises(SequencingError):
-        sample_candidates([t], [0], lookahead, params, weights, book, geometry, current)
+    # the gap is the frame minus the last frame: a tracklet last seen on or
+    # after the current frame has none to bridge
+    for frame in (t.last_frame, t.last_frame - 1):
+        with pytest.raises(SequencingError, match=f"last seen on frame {t.last_frame} has no gap"):
+            sample_candidates([t], lookahead, params, weights, book, geometry, frame)
+        with pytest.raises(SequencingError, match=f"last seen on frame {t.last_frame} has no gap"):
+            inpaint([t], lookahead, params, weights, book, geometry, frame)
     with pytest.raises(ValueError):
-        sample_candidates([t], [2], [], params, weights, book, geometry, current)
-    with pytest.raises(ValueError):
-        sample_candidates([t], [2, 3], lookahead, params, weights, book, geometry, current)
+        sample_candidates([t], [], params, weights, book, geometry, current)
     with pytest.raises(ValueError, match="distinct"):
-        sample_candidates([t, t], [3, 3], lookahead, params, weights, book, geometry, current)
-
-
-def test_gap_must_agree_with_the_frame(tiny_model, clean_scene):
-    # The stream is keyed by the gap's first frame, the tracklet's last frame
-    # plus one, so a gap that points elsewhere is refused.
-    weights, book = tiny_model
-    t, current, lookahead = gap_setup(clean_scene, weights, gap=3)
-    params = InpaintParams(num_samples=4)
-    with pytest.raises(SequencingError, match="gap of 2"):
-        sample_candidates([t], [2], lookahead, params, weights, book, clean_scene.geometry, current)
+        sample_candidates([t, t], lookahead, params, weights, book, geometry, current)
 
 
 def test_zero_samples_yields_no_candidates(tiny_model, clean_scene):
     weights, book = tiny_model
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=0)
-    got = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
+    got = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
     assert got == []
-    assert inpaint([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
-    assert inpaint([], [], lookahead, InpaintParams(), weights, book, clean_scene.geometry, current) == []
+    assert inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
+    assert inpaint([], lookahead, InpaintParams(), weights, book, clean_scene.geometry, current) == []
 
 
 def test_zero_samples_disables_top1_sampling_too(tiny_model, clean_scene):
     weights, book = tiny_model
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=0, sampling=SAMPLING_TOP1)
-    assert sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == []
-    assert inpaint([t], [3], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
+    assert sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current) == []
+    assert inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
     assert t.branch_store is None
 
 
@@ -168,7 +161,7 @@ def test_top1_sampling_uses_a_single_branch(tiny_model, clean_scene):
     weights, book = tiny_model
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=30, sampling=SAMPLING_TOP1)
-    got = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
+    got = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
     assert len(got) == 1
     assert got[0].branch_index == 0
     assert got[0].tracklet_id == t.tracklet_id
@@ -179,8 +172,8 @@ def test_branch_count_and_determinism(tiny_model, clean_scene):
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=12, sampling=SAMPLING_MULTINOMIAL, seed=5)
 
-    first = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
-    second = sample_candidates([t], [3], lookahead, params, weights, book, clean_scene.geometry, current)
+    first = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
+    second = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
     assert len(first) == 12
     assert [c.branch_index for c in first] == list(range(12))
     for a, b in zip(first, second):
@@ -192,7 +185,7 @@ def test_surviving_branches_carry_full_paths(tiny_model, clean_scene):
     gap, extra = 3, 2
     t, current, lookahead = gap_setup(clean_scene, weights, gap=gap, extra=extra)
     params = InpaintParams(num_samples=20, iou_threshold=0.3, seed=1)
-    got = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
+    got = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
     survivors = [c for c in got if not c.rejected]
     assert survivors, "sampler found no overlap on a clean constant-velocity gap"
     for cand in survivors:
@@ -211,14 +204,14 @@ def test_all_branches_reject_when_nothing_overlaps(tiny_model, clean_scene):
     # a speck inside the reachable extent overlaps every branch too little
     x, y, w, h = t.last_box.box
     speck = [np.array([[x + 0.5 * w, y + 0.5 * h, 1.0, 1.0]])]
-    got = sample_candidates([t], [2], speck, params, weights, book, geometry, 22)
+    got = sample_candidates([t], speck, params, weights, book, geometry, 22)
     assert len(got) == 10
     assert {c.rejection_reason for c in got} == {"no overlap at current frame"}
-    assert inpaint([t], [2], speck, params, weights, book, geometry, 22) == [None]
+    assert inpaint([t], speck, params, weights, book, geometry, 22) == [None]
     # a detection beyond the reachable extent is not even sampled for
     far = [np.array([[900.0, 500.0, 20.0, 20.0]])]
-    assert sample_candidates([t], [2], far, params, weights, book, geometry, 22) == []
-    assert inpaint([t], [2], far, params, weights, book, geometry, 22) == [None]
+    assert sample_candidates([t], far, params, weights, book, geometry, 22) == []
+    assert inpaint([t], far, params, weights, book, geometry, 22) == [None]
 
 
 def test_winner_bridges_toward_truth(tiny_model, clean_scene):
@@ -226,7 +219,7 @@ def test_winner_bridges_toward_truth(tiny_model, clean_scene):
     gap = 3
     t, current, lookahead = gap_setup(clean_scene, weights, obj_id=2, gap=gap)
     params = InpaintParams(num_samples=30, iou_threshold=0.3, seed=3)
-    [best] = inpaint([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
+    [best] = inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current)
     assert best is not None and not best.rejected
     truth = object_boxes(clean_scene, 2)
     # sampled gap boxes track the missing ground truth
@@ -234,7 +227,7 @@ def test_winner_bridges_toward_truth(tiny_model, clean_scene):
         frame = t.last_frame + 1 + offset
         assert box_iou(best.path[offset], truth[frame - 1]) > 0.5
     # selection maximizes summed lookahead overlap, then likelihood
-    others = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry,
+    others = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry,
                                current)
     for cand in others:
         if not cand.rejected:
@@ -258,7 +251,7 @@ def test_one_hot_model_reproduces_true_path_exactly():
     true_path = np.array([[100.0 + 10.0 * i, 100.0 + 5.0 * i, 50.0, 50.0] for i in (1, 2, 3)])
     lookahead = [row[None] for row in true_path]
 
-    [best] = inpaint([t], [1], lookahead, InpaintParams(num_samples=5), weights, book, geometry, 11)
+    [best] = inpaint([t], lookahead, InpaintParams(num_samples=5), weights, book, geometry, 11)
     assert best is not None
     assert best.iou_score == pytest.approx(3.0)  # t_trs + 1 with t_trs = 2
     np.testing.assert_allclose(best.path, true_path, atol=1e-9)
@@ -285,7 +278,7 @@ def test_aligned_branch_beats_counter_moving_branch():
     lookahead = [np.array([d, false_det]) for d in true_dets]
     params = InpaintParams(num_samples=16, seed=3)
 
-    cands = sample_candidates([t], [1], lookahead, params, weights, book, geometry, 11)
+    cands = sample_candidates([t], lookahead, params, weights, book, geometry, 11)
     patterns = set()
     for cand in cands:
         if not cand.rejected:
@@ -296,7 +289,7 @@ def test_aligned_branch_beats_counter_moving_branch():
                 patterns.add("left")
     assert patterns == {"right", "left"}, "seed must produce both branch kinds"
 
-    [best] = inpaint([t], [1], lookahead, params, weights, book, geometry, 11)
+    [best] = inpaint([t], lookahead, params, weights, book, geometry, 11)
     assert best.path[:, 0].tolist() == [510.0, 520.0, 530.0]
     assert best.iou_score == pytest.approx(3.0)
 
@@ -307,7 +300,7 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     t, current, lookahead = gap_setup(clean_scene, weights, obj_id=3, gap=gap)
     truth = object_boxes(clean_scene, 3)
     params = InpaintParams(num_samples=30, iou_threshold=0.3, seed=4)
-    [best] = inpaint([t], [gap], lookahead, params, weights, book, clean_scene.geometry, current)
+    [best] = inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current)
     assert best is not None
 
     detection = truth[current - 1]
@@ -326,7 +319,7 @@ def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
     assert len(t.boxes) == frames_before + gap - 1
     assert t.last_frame == current - 1
     assert t.state is best.state_at_scoring and t.dist is best.dist_at_scoring
-    advance([t], detection[None], current, clean_scene.geometry, weights)
+    advance([t], detection[None], clean_scene.geometry, weights)
     tail = t.boxes[-gap:]
     assert [tb.frame for tb in tail] == list(range(current - gap + 1, current + 1))
     assert [tb.source for tb in tail] == [SOURCE_INPAINTED] * (gap - 1) + [SOURCE_DETECTED]
@@ -372,7 +365,7 @@ def test_rejections_match_per_branch_overlap_rule(tiny_model, clean_scene):
     for gap, threshold, seed in ((1, 0.5, 0), (3, 0.5, 1), (3, 0.7, 2), (4, 0.3, 3), (2, 0.9, 4)):
         t, current, lookahead = gap_setup(clean_scene, weights, obj_id=1 + seed, gap=gap)
         params = InpaintParams(num_samples=30, iou_threshold=threshold, seed=seed)
-        cands = sample_candidates([t], [gap], lookahead, params, weights, book, clean_scene.geometry,
+        cands = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry,
                                   current)
         seen.update(check_candidates(cands, [t], lookahead, threshold))
     assert seen == {"", "no overlap at current frame"}
@@ -389,7 +382,7 @@ def test_one_batch_applies_each_tracklets_own_gap(tiny_model, clean_scene):
     lookahead = [np.stack([object_boxes(clean_scene, o)[current - 1 + f] for o in clean_scene.trajectories])
                  for f in range(3)]
     params = InpaintParams(num_samples=8, iou_threshold=0.5, seed=9)
-    cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book,
+    cands = sample_candidates(tracklets, lookahead, params, weights, book,
                               clean_scene.geometry, current)
     # canonical layout: gap descending, then tracklet ID; branches in order
     want = sorted(zip(gaps, (t.tracklet_id for t in tracklets)), key=lambda p: (-p[0], p[1]))
@@ -415,16 +408,16 @@ def test_rejections_cover_degenerate_and_empty_frames():
     dets = np.array([[510.0 + 10.0 * i, 500.0, 100.0, 100.0] for i in range(3)])
     lookahead = [d[None] for d in dets]
     for gap in (1, 2):
-        cands = sample_candidates([t], [gap], lookahead, params, weights, book, geometry, 10 + gap)
+        cands = sample_candidates([t], lookahead, params, weights, book, geometry, 10 + gap)
         fates = check_candidates(cands, [t], lookahead, 0.7)
         assert "degenerate box" in fates and "" in fates
 
     # a current frame with no detections leaves nothing to reach: every
     # branch would be rejected, so none is sampled
     empty_first = [np.zeros((0, 4)), dets[1:]]
-    assert sample_candidates([t], [1], empty_first, params, weights, book, geometry, 11) == []
+    assert sample_candidates([t], empty_first, params, weights, book, geometry, 11) == []
     # without an overlap threshold nothing is pruned or rejected for overlap
-    cands = sample_candidates([t], [1], empty_first, replace(params, iou_threshold=0.0),
+    cands = sample_candidates([t], empty_first, replace(params, iou_threshold=0.0),
                               weights, book, geometry, 11)
     assert set(check_candidates(cands, [t], empty_first, 0.0)) == {"degenerate box", ""}
 
@@ -447,7 +440,7 @@ def test_reachable_extent_holds_every_sampled_branch(tiny_model, clean_scene):
             t.boxes[-1] = t.boxes[-1]._replace(box=t.last_box.box + shift)
         lookahead = [detected(clean_scene, current)]
         params = InpaintParams(num_samples=25, iou_threshold=0.0, seed=trial)
-        cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+        cands = sample_candidates(tracklets, lookahead, params, weights, book, geometry, current)
         extent = reachable_extent(np.stack([t.last_box.box for t in tracklets]),
                                   np.array(gaps), book, geometry)
         row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
@@ -479,7 +472,7 @@ def test_reachable_extent_is_attained_by_extreme_branches():
                  new_tracklet(2, 7, np.array([100.0, 500.0, 30.0, 20.0]), start)]
     gaps = [2, 3]
     params = InpaintParams(num_samples=200, iou_threshold=0.0, seed=12)
-    cands = sample_candidates(tracklets, gaps, [np.zeros((0, 4))], params, weights, book, geometry, 10)
+    cands = sample_candidates(tracklets, [np.zeros((0, 4))], params, weights, book, geometry, 10)
     extent = reachable_extent(np.stack([t.last_box.box for t in tracklets]),
                               np.array(gaps), book, geometry)
     for i, t in enumerate(tracklets):
@@ -503,13 +496,13 @@ def test_unreachable_tracklet_is_skipped_and_moves_no_other(tiny_model, clean_sc
         assert min(x2, x + w) <= max(x1, x) or min(y2, y + h) <= max(y1, y)
 
     params = InpaintParams(num_samples=15, iou_threshold=0.5, seed=6)
-    with_far = inpaint(tracklets + [far], gaps + [2], lookahead, params, weights, book, geometry, current)
-    without = inpaint(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+    with_far = inpaint(tracklets + [far], lookahead, params, weights, book, geometry, current)
+    without = inpaint(tracklets, lookahead, params, weights, book, geometry, current)
     assert with_far[-1] is None
     assert any(w is not None for w in without)
     for a, b in zip(with_far[:-1], without):
         assert_same_candidate(a, b)
-    cands = sample_candidates([far] + tracklets, [2] + gaps, lookahead, params, weights, book,
+    cands = sample_candidates([far] + tracklets, lookahead, params, weights, book,
                               geometry, current)
     assert 99 not in {c.tracklet_id for c in cands}
     assert len(cands) == 15 * len(tracklets)
@@ -524,11 +517,11 @@ def test_winners_do_not_depend_on_tracklet_order(tiny_model, clean_scene):
                  for obj, g in zip((1, 2, 3, 4, 5, 6), gaps)]
     lookahead = [detected(clean_scene, current + f) for f in range(3)]
     params = InpaintParams(num_samples=12, iou_threshold=0.3, seed=8)
-    base = inpaint(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+    base = inpaint(tracklets, lookahead, params, weights, book, geometry, current)
     assert sum(w is not None for w in base) >= 3
     rng = np.random.default_rng(1)
     for perm in ([5, 4, 3, 2, 1, 0], *(rng.permutation(6) for _ in range(3))):
-        got = inpaint([tracklets[i] for i in perm], [gaps[i] for i in perm], lookahead, params,
+        got = inpaint([tracklets[i] for i in perm], lookahead, params,
                       weights, book, geometry, current)
         for i, winner in zip(perm, got):
             assert_same_candidate(winner, base[i])
@@ -554,8 +547,7 @@ def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
     def paths(tracklet_id, others, current=last_seen + gap):
         tracklets = [new_tracklet(tracklet_id, last_seen, box, start)]
         tracklets += [new_tracklet(o, current - g, box, start) for o, g in others]
-        gaps = [current - last_seen] + [g for _, g in others]
-        cands = sample_candidates(tracklets, gaps, lookahead, params, weights, book, geometry, current)
+        cands = sample_candidates(tracklets, lookahead, params, weights, book, geometry, current)
         return np.stack([c.path for c in cands if c.tracklet_id == tracklet_id])
 
     def replay(u):

@@ -172,6 +172,15 @@ def test_ground_truth_rejects_a_nan_class(tmp_path):
     assert info.value.line_number == 1
 
 
+def test_ground_truth_rejects_a_nan_visibility(tmp_path):
+    # no visibility threshold drops a NaN row, so it would be kept whatever the threshold
+    path = tmp_path / "gt.txt"
+    path.write_text("1,1,10,10,5,5,1,1,nan\n2,1,10,10,5,5,1,1,0.2\n")
+    with pytest.raises(ParseError, match="visibility must be a number, got nan") as info:
+        read_ground_truth(path, min_visibility=0.5)
+    assert info.value.line_number == 1
+
+
 def test_seqinfo_round_trip(tmp_path):
     meta = SequenceMeta(name="seq-01", frame_rate=14.0, length=750, width=1920.0, height=1080.0)
     path = tmp_path / "seqinfo.ini"

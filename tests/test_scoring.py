@@ -5,16 +5,16 @@ import pytest
 
 from gaptrack import (
     InpaintParams,
-    SequencingError,
     advance,
     cold_start,
     inpaint,
     new_tracklet,
     score_detection,
+    scoring,
     step,
 )
 from gaptrack.motion_model import PROB_FLOOR
-from gaptrack.scoring import SOURCE_DETECTED, STATUS_TENTATIVE
+from gaptrack.scoring import SOURCE_DETECTED
 from gaptrack.tracker import detection_arrays
 
 
@@ -28,7 +28,7 @@ def grown_tracklet(scene, weights, obj_id, upto):
     boxes = object_boxes(scene, obj_id)
     t = new_tracklet(obj_id, 1, boxes[0], cold_start(weights))
     for frame_index in range(2, upto + 1):
-        advance([t], boxes[frame_index - 1 : frame_index], frame_index, scene.geometry, weights)
+        advance([t], boxes[frame_index - 1 : frame_index], scene.geometry, weights)
     return t
 
 
@@ -79,8 +79,8 @@ def test_new_tracklet_consumes_seed_token(tiny_model):
     weights, book = tiny_model
     t = new_tracklet(5, 3, np.array([10.0, 20.0, 30.0, 40.0]), cold_start(weights))
     assert t.tracklet_id == 5
-    assert t.status == STATUS_TENTATIVE
-    assert len(t.boxes) == 1
+    # a fresh tracklet holds one box: unconfirmed, and bidding in pass 1 on frame 4
+    assert [tb.frame for tb in t.boxes] == [3]
     assert t.last_frame == 3
     # the zero seed velocity has been consumed, so a distribution exists
     assert t.dist.shape == (4, book.k)
@@ -121,22 +121,40 @@ def test_true_continuation_outscores_jump(tiny_model, clean_scene):
         assert good > bad
 
 
-def test_advance_appends_and_validates_frame(tiny_model, clean_scene):
+def test_advance_appends_on_the_next_frame(tiny_model, clean_scene):
     weights, _ = tiny_model
     boxes = object_boxes(clean_scene, 1)
     t = new_tracklet(1, 1, boxes[0], cold_start(weights))
-    advance([t], boxes[1:2], 2, clean_scene.geometry, weights)
+    advance([t], boxes[1:2], clean_scene.geometry, weights)
     assert [tb.frame for tb in t.boxes] == [1, 2]
     assert [tb.source for tb in t.boxes] == [SOURCE_DETECTED] * 2
 
-    with pytest.raises(SequencingError):
-        advance([t], boxes[2:3], 4, clean_scene.geometry, weights)
-    with pytest.raises(SequencingError):
-        advance([t], boxes[2:3], 2, clean_scene.geometry, weights)
     with pytest.raises(ValueError):
-        advance([t], np.zeros((0, 4)), 3, clean_scene.geometry, weights)
-    advance([], np.zeros((0, 4)), 3, clean_scene.geometry, weights)  # nothing to advance
+        advance([t], np.zeros((0, 4)), clean_scene.geometry, weights)
+    advance([], np.zeros((0, 4)), clean_scene.geometry, weights)  # nothing to advance
     assert len(t.boxes) == 2
+
+
+def test_advance_lands_each_box_on_its_own_next_frame(tiny_model, clean_scene, monkeypatch):
+    # Tracklets last seen on different frames advance together, in one model
+    # step, each box landing on the frame after its own tracklet's last box.
+    weights, _ = tiny_model
+    geometry = clean_scene.geometry
+    tracklets = [grown_tracklet(clean_scene, weights, obj, upto) for obj, upto in ((1, 4), (2, 9), (3, 6))]
+    nxt = np.stack([object_boxes(clean_scene, t.tracklet_id)[t.last_frame] for t in tracklets])
+    rows = []
+
+    def counted(weights, hidden, cell, deltas):
+        rows.append(hidden.shape[0])
+        return step(weights, hidden, cell, deltas)
+
+    monkeypatch.setattr(scoring, "step", counted)
+    advance(tracklets, nxt, geometry, weights)
+    assert rows == [3]
+    assert [t.last_frame for t in tracklets] == [5, 10, 7]
+    for t, box in zip(tracklets, nxt):
+        assert [tb.frame for tb in t.boxes] == list(range(1, t.last_frame + 1))
+        assert np.array_equal(t.last_box.box, box)
 
 
 def test_advance_updates_distribution(tiny_model, clean_scene):
@@ -144,7 +162,7 @@ def test_advance_updates_distribution(tiny_model, clean_scene):
     t = grown_tracklet(clean_scene, weights, obj_id=4, upto=5)
     dist_before = t.dist.copy()
     boxes = object_boxes(clean_scene, 4)
-    advance([t], boxes[5:6], 6, clean_scene.geometry, weights)
+    advance([t], boxes[5:6], clean_scene.geometry, weights)
     assert not np.array_equal(t.dist, dist_before)
     np.testing.assert_allclose(t.dist.sum(axis=1), 1.0, atol=1e-9)
 
@@ -162,7 +180,7 @@ def test_advance_steps_every_tracklet_like_the_batched_step(tiny_model, clean_sc
         np.stack([t.state.cell for t in tracklets]),
         np.stack([(b - t.last_box.box) / geometry.scale for t, b in zip(tracklets, nxt)]),
     )
-    advance(tracklets, nxt, 7, geometry, weights)
+    advance(tracklets, nxt, geometry, weights)
     for i, t in enumerate(tracklets):
         assert np.array_equal(t.last_box.box, nxt[i]) and t.last_frame == 7
         assert len(t.boxes) == 7
@@ -213,7 +231,7 @@ def test_pass_scorer_on_inpainted_candidates(tiny_model, clean_scene):
     tracklets = [grown_tracklet(clean_scene, weights, obj_id=obj, upto=20) for obj in (1, 2, 3)]
     current = 23
     dets = detection_arrays(clean_scene.detections, 0.0)[current]
-    winners = inpaint(tracklets, [3] * 3, [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
+    winners = inpaint(tracklets, [dets], InpaintParams(num_samples=10, iou_threshold=0.0),
                       weights, book, geometry, current)
     assert all(w is not None for w in winners)
     origins = np.stack([w.origin for w in winners])

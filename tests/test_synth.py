@@ -102,10 +102,6 @@ def test_training_tracks_windowing():
     short = generate(SceneSpec(seed=5, **{**CLEAN, "num_frames": 77}))
     assert len(short.training_tracks(window=25)) == 4 * 3
 
-    overlapping = scene.training_tracks(window=20, stride=10)
-    assert len(overlapping) == 4 * 8  # starts 0,10,...,70; the 70-start tail is 10 long
-    assert all(len(t.boxes) in (10, 20) for t in overlapping)
-
 
 def test_drop_detections_clears_whole_frames():
     scene = generate(SceneSpec(seed=5, **CLEAN))

@@ -15,8 +15,9 @@ from gaptrack import (
     run_sequence,
     scoring,
     step,
+    tracker,
 )
-from gaptrack.scoring import SOURCE_DETECTED, SOURCE_INPAINTED, STATUS_TERMINATED
+from gaptrack.scoring import SOURCE_DETECTED, SOURCE_INPAINTED
 from gaptrack.synth import drop_detections
 from gaptrack.tracker import detection_arrays
 
@@ -157,8 +158,8 @@ def test_low_confidence_detections_are_dropped(tiny_model, clean_scene, monkeypa
     ranked = []
     original = scoring.sample_candidates
 
-    def recorded(tracklets, gaps, lookahead, *args):
-        candidates = original(tracklets, gaps, lookahead, *args)
+    def recorded(tracklets, lookahead, *args):
+        candidates = original(tracklets, lookahead, *args)
         if args[-1] == 33:
             ranked.append([(c.tracklet_id, c.branch_index, c.iou_score, c.rejected) for c in candidates])
         return candidates
@@ -237,7 +238,7 @@ def test_births_share_the_cold_start_without_aliasing(tiny_model, clean_scene):
         assert not t.dist.flags.writeable and not t.state.hidden.flags.writeable
 
     kept = (b.state, b.state.hidden.copy(), b.state.cell.copy(), b.dist.copy())
-    advance([a], np.array([[104.0, 102.0, 40.0, 40.0]]), 2, geometry, weights)
+    advance([a], np.array([[104.0, 102.0, 40.0, 40.0]]), geometry, weights)
     assert not np.array_equal(a.dist, kept[3])
     assert b.state is kept[0]
     assert np.array_equal(b.state.hidden, kept[1])
@@ -295,7 +296,44 @@ def test_confirmed_tracklet_terminates_after_exactly_the_allowed_gap(tiny_model,
         assert fr.terminated in ((), (1,))
     assert terminated_on == [last + termination_gap + 1]
     assert [t.tracklet_id for t in state.finished] == [1]
-    assert state.finished[0].status == STATUS_TERMINATED and state.tracklets == []
+    # the finished tracklet was confirmed and ended on its last detection
+    [ended] = state.finished
+    assert len(ended.boxes) >= state.config.birth_confirmation and ended.last_frame == last
+    assert ended.branch_store is None and state.tracklets == []
+
+
+def test_pass_gap_and_confirmation_come_from_the_boxes(tiny_model, clean_scene, monkeypatch):
+    # Tracklet 1 follows object 1 on frames 1-5 and tracklet 2 object 3 on
+    # frames 1-4; both confirm. Tracklet 3 holds object 2's boxes on frames
+    # 4 and 5 only, short of the 3 confirmation needs. Frame 6 detects
+    # nothing, and frame 7 objects 1 and 3 again.
+    weights, book = tiny_model
+    config = TrackerConfig(birth_confirmation=3, inpaint=InpaintParams(iou_threshold=0.0))
+    state = make_state(weights, book, clean_scene.geometry, config, frame_rate=clean_scene.meta.frame_rate)
+    seen = {1: {1, 2, 3, 4, 5, 7}, 3: {1, 2, 3, 4, 7}, 2: {4, 5}}  # object: frames detected
+    calls = []
+    original = tracker.inpaint
+
+    def recorded(tracklets, lookahead, *args):
+        frame_index = args[-1]
+        winners = original(tracklets, lookahead, *args)
+        calls.append((frame_index, [(t.tracklet_id, frame_index - t.last_frame) for t in tracklets],
+                      [w.gap for w in winners]))
+        return winners
+
+    monkeypatch.setattr(tracker, "inpaint", recorded)
+    for frame_index in range(1, 8):
+        objs = [obj for obj in (1, 3, 2) if frame_index in seen[obj]]
+        dets = np.array([clean_scene.trajectories[obj][frame_index - 1] for obj in objs]).reshape(-1, 4)
+        process_frame(state, frame_index, dets)
+        if frame_index == 5:
+            assert [(t.tracklet_id, len(t.boxes), t.last_frame) for t in state.tracklets] == [
+                (1, 5, 5), (2, 4, 4), (3, 2, 5)]
+        if frame_index == 6:
+            # the tentative tracklet died at its first miss; the confirmed ones wait
+            assert [t.tracklet_id for t in state.tracklets] == [1, 2]
+    # the tentative tracklet never reached inpainting; each confirmed one did, with its own gap
+    assert calls == [(7, [(1, 2), (2, 3)], [2, 3])]
 
 
 def test_first_online_commit_comes_on_the_confirming_detection(tiny_model, clean_scene):

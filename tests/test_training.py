@@ -511,5 +511,3 @@ def test_window_tracks_cuts_runs_and_drops_short_chunks():
     lengths = lambda tracks: [len(t.boxes) for t in tracks]  # noqa: E731
     assert lengths(window_tracks([long_run, short_run], FRAME, window=3)) == [3, 3]
     assert lengths(window_tracks([long_run, short_run], FRAME, window=None)) == [7]
-    assert lengths(window_tracks([long_run], FRAME, window=4, stride=2)) == [4, 4, 3]
-    assert lengths(window_tracks([long_run], FRAME, window=None, stride=2)) == [7]

@@ -250,10 +250,10 @@ def a4_job(k: int) -> list[dict]:
         prefix = noisy[obj]
         tracklet = new_tracklet(obj, 1, prefix[0], start)
         for t in range(1, t_last + 1):
-            advance([tracklet], prefix[t:t + 1], t + 1, scene.geometry, weights)
+            advance([tracklet], prefix[t:t + 1], scene.geometry, weights)
         lookahead = [np.stack([noisy[o][f] for o in noisy if f < len(noisy[o])])
                      for f in range(t_last + gap, t_last + gap + t_trs + 1)]
-        [winner] = inpaint([tracklet], [gap], lookahead, params, weights, book,
+        [winner] = inpaint([tracklet], lookahead, params, weights, book,
                            scene.geometry, t_last + 1 + gap)
         if winner is None:
             return 0.0
