@@ -4,7 +4,8 @@ When a tracklet misses detections for a few frames, the model samples many
 continuations of its motion, step by step, each branch drawing velocities
 from the predicted distributions. Branches whose boxes fail to overlap any
 detection once detections resume are rejected; among survivors, the branch
-agreeing best with a short lookahead window wins and its boxes fill the gap.
+agreeing best with a short lookahead window wins (ties go to the likelier
+branch, then the lower index, as in the tracker) and its boxes fill the gap.
 
 Run:  python3 demos/04_gap_inpainting.py
 """
@@ -24,6 +25,7 @@ from gaptrack.scoring import (
     InpaintParams,
     advance,
     cold_start,
+    inpaint,
     new_tracklet,
     sample_candidates,
 )
@@ -63,13 +65,14 @@ candidates = sample_candidates(
 
 print(f"sampled       {len(candidates)} branches over a 3-frame gap")
 print("branch  fate      lookahead-iou  log-likelihood")
-best = None
 for cand in candidates:
     fate = f"rejected ({cand.rejection_reason})" if cand.rejected else "survived"
     print(f"  {cand.branch_index:3d}   {fate:<28s} {cand.iou_score:5.2f}  "
           f"{cand.sample_log_likelihood:8.2f}")
-    if not cand.rejected and (best is None or cand.iou_score > best.iou_score):
-        best = cand
+
+# the bridge the tracker would commit; the branches come from the store the
+# call above filled, so they are the ones printed
+[best] = inpaint([tracklet], lookahead, params, weights, book, scene.geometry, 24)
 
 if best is None:
     print("no branch survived; the tracker would keep waiting")

@@ -20,7 +20,11 @@ stacked model batch, rejecting those whose box at the current frame fails to
 overlap any detection, and ranking each tracklet's survivors by the summed
 best IOU against detections over the current frame plus a short lookahead
 window. A winner supplies the missing boxes and the state from which the
-current detections are scored.
+current detections are scored. The branches of one call form a
+:class:`BranchTable`, one row of arrays per branch (tracklet, branch index,
+gap, steps taken, rejection code, IOU score, log-likelihood, origin and
+scoring state); one ``lexsort`` over it picks every tracklet's winner, and
+only the winners become :class:`InpaintCandidate` objects.
 
 Each branch is one trajectory per gap, as a particle filter carries its
 samples: tracklet ``t`` whose gap began on frame ``g0`` (its first
@@ -31,17 +35,19 @@ steps of each branch. So a tracklet's branches do not depend on which other
 tracklets are gapped or on their order, and the tracklet keeps them in a
 :class:`BranchStore`: each frame extends the stored branches by the steps
 they lack, one per branch on consecutive frames, so a gap of g frames costs
-O(g) steps rather than O(g^2). The store is an exact cache, holding the
-recurrent states of the last few steps only, and is dropped when the gap
-closes. The per-tracklet streams also make an exact prune safe: a tracklet
-whose reachable extent (its last box moved ``gap`` steps by the codebook's
-extreme centroids) meets no current-frame detection would have every branch
-rejected, so it is not sampled at all, and skipping it moves no other
-tracklet's stream.
+O(g) steps rather than O(g^2). The store keeps the gap's generator too,
+so an extension draws only the rows of its new steps. The store is an
+exact cache, holding the recurrent states of the last few steps only, and
+is dropped when the gap closes. The per-tracklet streams also make an
+exact prune safe: a tracklet whose reachable extent (its last box moved
+``gap`` steps by the codebook's extreme centroids) meets no current-frame
+detection would have every branch rejected, so it is not sampled at all,
+and skipping it moves no other tracklet's stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +55,7 @@ import numpy as np
 
 from .codebook import Codebook, decode, quantize
 from .errors import NumericOverflowError, SequencingError
-from .geometry import FrameGeometry, apply_velocity, iou_matrix, velocity
+from .geometry import FrameGeometry, apply_velocity, box_iou, velocity
 from .motion_model import (
     ModelWeights,
     RecurrentState,
@@ -259,6 +265,87 @@ class InpaintCandidate:
         return bool(self.rejection_reason)
 
 
+# Rejection codes of a branch table's rows, and the reason each stands for.
+SURVIVED, DEGENERATE, NO_OVERLAP = 0, 1, 2
+REJECTION_REASONS = ("", "degenerate box", "no overlap at current frame")
+
+
+@dataclass(frozen=True, eq=False)
+class BranchTable(Sequence):
+    """Every branch one :func:`sample_candidates` call sampled, one row per branch.
+
+    Rows run by gap descending, then tracklet ID, then branch index, in
+    blocks of ``branches`` rows per tracklet. The columns hold each row's
+    tracklet ID, branch index, gap, steps taken before its box degenerated,
+    rejection code (an index into :data:`REJECTION_REASONS`), summed
+    lookahead IOU and accumulated sample log-likelihood, and its scoring
+    origin and state. ``paths`` holds each block's path buffer, of which a
+    row reads its first ``steps_done`` boxes; a branch store only appends
+    to its buffer, so those rows stay as sampled.
+
+    The table reads as a sequence of :class:`InpaintCandidate`: indexing or
+    iterating builds a row's candidate, with no ``dist_at_scoring``.
+    """
+
+    branches: int
+    tracklet_id: np.ndarray  # (R,)
+    branch_index: np.ndarray  # (R,)
+    gap: np.ndarray  # (R,)
+    steps_done: np.ndarray  # (R,)
+    rejection: np.ndarray  # (R,) codes
+    iou_score: np.ndarray  # (R,)
+    log_likelihood: np.ndarray  # (R,)
+    origin: np.ndarray  # (R, 4)
+    hidden: np.ndarray  # (R, H): the scoring state
+    cell: np.ndarray  # (R, H)
+    paths: tuple  # per block, its (branches, capacity, 4) buffer
+
+    def __len__(self) -> int:
+        return len(self.tracklet_id)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        return [self.candidate(r) for r in rows] if isinstance(index, slice) else self.candidate(rows)
+
+    def __iter__(self):
+        return map(self.candidate, range(len(self)))
+
+    def candidate(self, row: int, dist_at_scoring: np.ndarray | None = None) -> InpaintCandidate:
+        """Row ``row`` as a candidate, carrying ``dist_at_scoring`` when given."""
+        block, branch = divmod(row, self.branches)
+        return InpaintCandidate(
+            tracklet_id=int(self.tracklet_id[row]),
+            branch_index=branch,
+            gap=int(self.gap[row]),
+            path=self.paths[block][branch, : self.steps_done[row]],
+            state_at_scoring=RecurrentState(hidden=self.hidden[row], cell=self.cell[row]),
+            dist_at_scoring=dist_at_scoring,
+            origin=self.origin[row],
+            sample_log_likelihood=float(self.log_likelihood[row]),
+            iou_score=float(self.iou_score[row]),
+            rejection_reason=REJECTION_REASONS[self.rejection[row]],
+        )
+
+    def winners(self) -> np.ndarray:
+        """The row of each tracklet's best surviving branch, in tracklet-ID order.
+
+        Best is the highest ``iou_score``, then the highest
+        ``log_likelihood``, then the lowest branch index. A tracklet whose
+        every branch is rejected has no row.
+        """
+        alive = np.flatnonzero(self.rejection == SURVIVED)
+        ranked = alive[np.lexsort((self.branch_index[alive], -self.log_likelihood[alive],
+                                   -self.iou_score[alive], self.tracklet_id[alive]))]
+        ids = self.tracklet_id[ranked]
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        return ranked[first]
+
+
+def _branch_stream(seed: int, tracklet_id: int, gap_start: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tracklet_id, gap_start)))
+
+
 def branch_uniforms(seed: int, tracklet_id: int, gap_start: int, steps: int, branches: int) -> np.ndarray:
     """The first ``steps`` rows of the (step, branch, 4) uniforms a tracklet's branches draw over one gap.
 
@@ -269,8 +356,7 @@ def branch_uniforms(seed: int, tracklet_id: int, gap_start: int, steps: int, bra
     for any ``steps``, so a branch extended one step per frame draws what a
     branch sampled at full length draws.
     """
-    seq = np.random.SeedSequence(seed, spawn_key=(tracklet_id, gap_start))
-    return np.random.default_rng(seq).random((steps, branches, 4))
+    return _branch_stream(seed, tracklet_id, gap_start).random((steps, branches, 4))
 
 
 @dataclass(eq=False)
@@ -280,7 +366,9 @@ class BranchStore:
     Per branch it holds the boxes sampled so far, the box after the last
     step, the summed log-likelihood, the steps taken before the box
     degenerated (the branch is alive while that equals ``steps``) and the
-    velocity sampled last, which the model has not consumed yet. Hidden and
+    velocity sampled last, which the model has not consumed yet. Under
+    multinomial sampling ``stream`` is the gap's generator, standing at row
+    ``steps`` of :func:`branch_uniforms`. Hidden and
     cell states are kept for the last ``R`` steps only, as a ring: the state
     after ``k`` sampled velocities sits in slot ``k % R``. The store is an
     exact cache: :func:`sample_candidates` rebuilds it from the tracklet
@@ -293,6 +381,7 @@ class BranchStore:
     weights: ModelWeights
     codebook: Codebook
     frame: FrameGeometry
+    stream: np.random.Generator | None  # None under top-1 sampling
     hidden: np.ndarray  # (R, B, H)
     cell: np.ndarray  # (R, B, H)
     path: np.ndarray  # (B, capacity, 4): boxes of steps 0 .. steps - 1
@@ -351,7 +440,7 @@ def sample_candidates(
     codebook: Codebook,
     frame: FrameGeometry,
     frame_index: int,
-) -> list[InpaintCandidate]:
+) -> BranchTable:
     """Sample every branch of every tracklet's gap-bridging search, rejected ones included.
 
     A tracklet's gap is how many frames it must move to reach the current
@@ -372,14 +461,15 @@ def sample_candidates(
     need it. A store that cannot serve the call (another gap, seed,
     branch count, sampling mode, weights, codebook or frame, more steps
     than needed, or a scoring state older than its ring) is rebuilt; the
-    draws are the same, so the candidates are too.
+    draws are the same, so the branches are too.
 
     With a positive ``iou_threshold``, a tracklet whose
     :func:`reachable_extent` meets no current-frame detection is skipped: all
-    its branches would be rejected. The rest are returned in one flat list,
-    by gap descending, then tracklet ID, each tracklet's branches by index.
-    Candidates carry no ``dist_at_scoring``; :func:`inpaint` computes it for
-    the winners.
+    its branches would be rejected. The rest come back as one
+    :class:`BranchTable` with a row per branch, by gap descending, then
+    tracklet ID, each tracklet's branches by index. Its rows read as
+    candidates without a ``dist_at_scoring``; :func:`inpaint` computes that
+    for the winners.
     """
     for t in tracklets:
         if t.last_frame >= frame_index:
@@ -395,7 +485,7 @@ def sample_candidates(
     extra = len(lookahead) - 1
     branches = min(1, params.num_samples) if params.sampling == SAMPLING_TOP1 else params.num_samples
     if branches == 0 or not tracklets:
-        return []
+        return _empty_table(weights.config.hidden_dim)
 
     keep = range(len(tracklets))
     if params.iou_threshold > 0.0:
@@ -404,7 +494,7 @@ def sample_candidates(
         keep = np.flatnonzero(_reaches_any(extent, lookahead[0]))
     order = sorted(keep, key=lambda i: (-gaps[i], ids[i]))
     if not order:
-        return []
+        return _empty_table(weights.config.hidden_dim)
     chosen = [tracklets[i] for i in order]
     gap = [gaps[i] for i in order]
     needs = [g + extra for g in gap]
@@ -428,49 +518,60 @@ def sample_candidates(
             (before >= 0)[:, None], store.path[np.arange(branches), before], tracklet.last_box.box
         ))
     window = np.concatenate(window)
-    snap_hid, snap_cell, origin = np.concatenate(snap_hid), np.concatenate(snap_cell), np.concatenate(origin)
-    rows = window.shape[0]
     row_gap = np.repeat(gap, branches)
     steps_done = np.concatenate([s.steps_done for s in stores])
-    log_lik = np.concatenate([s.log_lik for s in stores])
-
-    # Best overlap per lookahead frame, over branches that bridged their gap.
-    # The current frame's term (f = 0) also decides the overlap rejection.
-    iou_scores = np.zeros(rows)
-    at_current = np.zeros(rows)
     bridged = steps_done == row_gap + extra
-    full = np.flatnonzero(bridged)
-    for f, dets in enumerate(lookahead):
-        if full.size == 0 or dets.shape[0] == 0:
-            continue
-        overlap = iou_matrix(window[full, f], dets).max(axis=1)
-        iou_scores[full] += overlap
-        if f == 0:
-            at_current[full] = overlap
-    no_overlap = bridged & (at_current < params.iou_threshold)
+    iou_score, at_current = _lookahead_overlap(window, bridged, lookahead)
+    return BranchTable(
+        branches=branches,
+        tracklet_id=np.repeat([t.tracklet_id for t in chosen], branches),
+        branch_index=np.tile(np.arange(branches), len(chosen)),
+        gap=row_gap,
+        steps_done=steps_done,
+        rejection=np.where(
+            bridged, np.where(at_current < params.iou_threshold, NO_OVERLAP, SURVIVED), DEGENERATE
+        ),
+        iou_score=iou_score,
+        log_likelihood=np.concatenate([s.log_lik for s in stores]),
+        origin=np.concatenate(origin),
+        hidden=np.concatenate(snap_hid),
+        cell=np.concatenate(snap_cell),
+        paths=tuple(s.path for s in stores),
+    )
 
-    candidates = []
-    for r in range(rows):
-        tracklet, store = chosen[r // branches], stores[r // branches]
-        if not bridged[r]:
-            reason = "degenerate box"
-        elif no_overlap[r]:
-            reason = "no overlap at current frame"
-        else:
-            reason = ""
-        candidates.append(InpaintCandidate(
-            tracklet_id=tracklet.tracklet_id,
-            branch_index=r % branches,
-            gap=int(row_gap[r]),
-            path=store.path[r % branches, : steps_done[r]],
-            state_at_scoring=RecurrentState(hidden=snap_hid[r], cell=snap_cell[r]),
-            dist_at_scoring=None,
-            origin=origin[r],
-            sample_log_likelihood=float(log_lik[r]),
-            iou_score=float(iou_scores[r]),
-            rejection_reason=reason,
-        ))
-    return candidates
+
+def _empty_table(hidden_dim: int) -> BranchTable:
+    none = np.zeros(0, dtype=int)
+    return BranchTable(
+        branches=0, tracklet_id=none, branch_index=none, gap=none, steps_done=none, rejection=none,
+        iou_score=np.zeros(0), log_likelihood=np.zeros(0), origin=np.zeros((0, 4)),
+        hidden=np.zeros((0, hidden_dim)), cell=np.zeros((0, hidden_dim)), paths=(),
+    )
+
+
+def _lookahead_overlap(window: np.ndarray, bridged: np.ndarray, lookahead: list[np.ndarray]):
+    """Each row's summed best IOU over the lookahead frames, and the current frame's term.
+
+    ``window`` is (R, F, 4): each row's box on each lookahead frame. Only
+    bridged rows are scored; the others read 0. A row's box on frame ``f``
+    meets only that frame's detections: the boxes are gathered once per
+    detection of every frame, one elementwise IOU covers all pairs, a max
+    per frame's segment gives the best overlaps and they add in frame order.
+    """
+    score, current = np.zeros(len(window)), np.zeros(len(window))
+    sizes = [len(dets) for dets in lookahead]
+    present = [f for f, n in enumerate(sizes) if n]
+    rows = slice(None) if bridged.all() else np.flatnonzero(bridged)
+    if not present or not bridged.any():
+        return score, current
+    counts = [sizes[f] for f in present]
+    starts = np.cumsum([0] + counts[:-1])
+    boxes = window[rows][:, np.repeat(present, counts)]  # (rows, D, 4)
+    best = np.maximum.reduceat(box_iou(boxes, np.concatenate([lookahead[f] for f in present])), starts, axis=1)
+    score[rows] = best.sum(axis=1)
+    if present[0] == 0:
+        current[rows] = best[:, 0]
+    return score, current
 
 
 def _branch_store(
@@ -486,7 +587,8 @@ def _branch_store(
     """The tracklet's branch store if it serves this call, else a fresh one put in its place.
 
     A fresh store has taken no step: its ring holds the tracklet's own state
-    in slot 0, repeated per branch, and keeps ``extra + 1`` states.
+    in slot 0, repeated per branch, and keeps ``extra + 1`` states. Under
+    multinomial sampling it opens the gap's stream at row 0.
     """
     key = (params.seed, params.sampling, branches, tracklet.tracklet_id, tracklet.last_frame,
            *tracklet.last_box.box.tolist())
@@ -496,6 +598,7 @@ def _branch_store(
     shape = (extra + 1, branches, weights.config.hidden_dim)
     hidden, cell = np.empty(shape), np.empty(shape)
     hidden[0], cell[0] = tracklet.state.hidden, tracklet.state.cell
+    greedy = params.sampling == SAMPLING_TOP1
     store = BranchStore(
         key=key,
         state=tracklet.state,
@@ -503,6 +606,7 @@ def _branch_store(
         weights=weights,
         codebook=codebook,
         frame=frame,
+        stream=None if greedy else _branch_stream(params.seed, tracklet.tracklet_id, tracklet.last_frame + 1),
         hidden=hidden,
         cell=cell,
         path=np.zeros((branches, 2 * need, 4)),
@@ -528,11 +632,16 @@ def _extend(
 
     Step ``s`` of a branch first consumes the velocity of step ``s - 1``
     (step 0 samples from the tracklet's own distribution), then draws from
-    the resulting distribution with row ``s`` of :func:`branch_uniforms`.
-    Rows of one store are contiguous and laid out by missing steps
-    descending, so the rows still running at step ``j`` of this call are a
-    prefix ``[:running[j]]``. A branch whose box degenerates is frozen in
-    place but keeps its row.
+    the resulting distribution with row ``s`` of :func:`branch_uniforms`,
+    read from the store's own stream: a call draws only the rows of the
+    steps it adds. Rows of one store are contiguous and laid out by missing
+    steps descending, so the rows still running at step ``j`` of this call
+    are a prefix ``[:running[j]]``. While every running row is alive, a
+    step writes its log-likelihoods, boxes and step counts as whole rows; a
+    branch whose box degenerates is frozen in place but keeps its row, and
+    from then on only live rows are written. The stores are detached from
+    their tracklets until the call completes, so one that raises is rebuilt
+    next time rather than read with a stream that has moved on.
     """
     grow = sorted(
         (i for i, store in enumerate(stores) if store.steps < needs[i]),
@@ -543,6 +652,8 @@ def _extend(
     tracklets = [tracklets[i] for i in grow]
     part = [stores[i] for i in grow]
     needs = [needs[i] for i in grow]
+    for tracklet in tracklets:
+        tracklet.branch_store = None
     todo = np.array([need - store.steps for store, need in zip(part, needs)])
     branches = part[0].steps_done.shape[0]
     rows = branches * len(part)
@@ -555,14 +666,14 @@ def _extend(
     log_lik = np.concatenate([s.log_lik for s in part])
     steps_done = np.concatenate([s.steps_done for s in part])
     alive = steps_done == np.repeat([s.steps for s in part], branches)
+    all_alive = bool(alive.all())
     fresh = np.repeat([s.steps == 0 for s in part], branches)
     path = np.zeros((rows, todo[0], 4))
     greedy = params.sampling == SAMPLING_TOP1
     if not greedy:
         uniforms = np.zeros((todo[0], rows, 4))
-        for b, (tracklet, store, need) in enumerate(zip(tracklets, part, needs)):
-            block = branch_uniforms(params.seed, tracklet.tracklet_id, tracklet.last_frame + 1, need, branches)
-            uniforms[: todo[b], b * branches : (b + 1) * branches] = block[store.steps :]
+        for b, store in enumerate(part):
+            uniforms[: todo[b], b * branches : (b + 1) * branches] = store.stream.random((todo[b], branches, 4))
 
     for j in range(todo[0]):
         m = running[j]
@@ -574,11 +685,11 @@ def _extend(
             model = np.flatnonzero(~fresh)
             if model.size:
                 out = cell_forward(weights, vel[model], hid[model], cell[model])
-                _check_finite(out["h"][alive[model]])
+                _check_finite(out["h"] if all_alive else out["h"][alive[model]])
                 hid[model], cell[model], dist[model] = out["h"], out["c"], out["probs"]
         else:
             out = cell_forward(weights, vel[:m], hid[:m], cell[:m])
-            _check_finite(out["h"][alive[:m]])
+            _check_finite(out["h"] if all_alive else out["h"][alive[:m]])
             hid, cell, dist = out["h"], out["c"], out["probs"]
         # Keep the states each ring holds once this call is done.
         for b, store in enumerate(part[: m // branches]):
@@ -588,16 +699,25 @@ def _extend(
                 store.cell[k % len(store.cell)] = cell[b * branches : (b + 1) * branches]
 
         quads = np.argmax(dist, axis=2) if greedy else inverse_cdf(dist, uniforms[j, :m])
-        live = alive[:m]
-        log_lik[:m][live] += log_likelihood(dist, quads)[live]
+        step_lik = log_likelihood(dist, quads)
         vel[:m] = decode(quads, codebook)  # (m, 4) normalized velocities
         nxt = apply_velocity(last[:m], vel[:m], frame)
-        live &= (nxt[:, 2] > 0.0) & (nxt[:, 3] > 0.0)
+        ok = (nxt[:, 2] > 0.0) & (nxt[:, 3] > 0.0)
+        if all_alive and ok.all():
+            log_lik[:m] += step_lik
+            path[:m, j] = nxt
+            last[:m] = nxt
+            steps_done[:m] += 1
+            continue
+        all_alive = False
+        live = alive[:m]
+        log_lik[:m][live] += step_lik[live]
+        live &= ok
         path[:m, j][live] = nxt[live]
         last[:m][live] = nxt[live]
         steps_done[:m][live] += 1
 
-    for b, (store, need) in enumerate(zip(part, needs)):
+    for b, (tracklet, store, need) in enumerate(zip(tracklets, part, needs)):
         r = slice(b * branches, (b + 1) * branches)
         if store.path.shape[1] < need:
             grown = np.zeros((branches, 2 * need, 4))
@@ -609,6 +729,7 @@ def _extend(
         store.log_lik[:] = log_lik[r]
         store.steps_done[:] = steps_done[r]
         store.steps = need
+        tracklet.branch_store = store
 
 
 def _check_finite(hidden: np.ndarray) -> None:
@@ -630,32 +751,25 @@ def inpaint(
     Each tracklet bridges its own gap, ``frame_index - last_frame``.
     ``lookahead`` is the list of (M, 4) detection arrays, current frame
     first, that :func:`sample_candidates` takes. The branches come from that
-    call, which extends each tracklet's branch store; no other part of a
-    tracklet is modified, and committing a winner is the caller's decision.
-    Survivors are ranked by
-    summed best-IOU over the lookahead window; ties go to the higher
-    accumulated sample log-likelihood, then the lower branch index. Only the
-    winners get a ``dist_at_scoring``: the tracklet's own distribution for a
+    call's :class:`BranchTable`, which extends each tracklet's branch store;
+    no other part of a tracklet is modified, and committing a winner is the
+    caller's decision. :meth:`BranchTable.winners` ranks each tracklet's
+    survivors by summed best-IOU over the lookahead window, ties going to
+    the higher accumulated sample log-likelihood, then the lower branch
+    index, and only the winners become :class:`InpaintCandidate` objects.
+    Each gets a ``dist_at_scoring``: the tracklet's own distribution for a
     1-frame gap, else the heads of the scoring state, for all winners in one
     :func:`~gaptrack.motion_model.head_outputs` call in tracklet-ID order.
     The result is aligned with ``tracklets``.
     """
-    best: dict[int, InpaintCandidate] = {}
-    for cand in sample_candidates(tracklets, lookahead, params, weights, codebook, frame, frame_index):
-        if cand.rejected:
-            continue
-        held = best.get(cand.tracklet_id)
-        if held is None or (cand.iou_score, cand.sample_log_likelihood) > (held.iou_score, held.sample_log_likelihood):
-            best[cand.tracklet_id] = cand
-    for tracklet in tracklets:
-        if tracklet.tracklet_id in best and best[tracklet.tracklet_id].gap == 1:
-            best[tracklet.tracklet_id].dist_at_scoring = tracklet.dist
-    deep = [best[tid] for tid in sorted(best) if best[tid].gap > 1]
-    if deep:
-        _, probs, _ = head_outputs(weights, np.stack([c.state_at_scoring.hidden for c in deep]))
-        for cand, dist in zip(deep, probs):
-            cand.dist_at_scoring = dist
-    return [best.get(t.tracklet_id) for t in tracklets]
+    table = sample_candidates(tracklets, lookahead, params, weights, codebook, frame, frame_index)
+    rows = table.winners()
+    deep = rows[table.gap[rows] > 1]
+    dists = dict(zip(deep.tolist(), head_outputs(weights, table.hidden[deep])[1])) if deep.size else {}
+    own = {t.tracklet_id: t.dist for t in tracklets}
+    won = {tid: table.candidate(r, dists.get(r, own[tid]))
+           for r, tid in zip(rows.tolist(), table.tracklet_id[rows].tolist())}
+    return [won.get(t.tracklet_id) for t in tracklets]
 
 
 def reattach(tracklet: Tracklet, candidate: InpaintCandidate) -> Tracklet:

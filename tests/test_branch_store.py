@@ -19,6 +19,7 @@ from gaptrack import (
     BoundingBox,
     InpaintParams,
     ModelConfig,
+    NumericOverflowError,
     SceneSpec,
     TrackerConfig,
     TrainSchedule,
@@ -163,6 +164,25 @@ def test_a_changed_call_rebuilds_the_store(tiny_model, clean_scene, change):
     [a], [b] = (inpaint([x], lookahead, params, weights, book, geometry, current) for x in (t, fresh))
     assert_same_candidate(a, b)
     assert (a is None) or np.array_equal(a.dist_at_scoring, b.dist_at_scoring)
+
+
+def test_a_failed_extension_leaves_no_store(tiny_model, clean_scene):
+    # A store's stream moves on as soon as it draws, so a call that raises
+    # mid-extension must not leave the store for the next call to read.
+    weights, book = tiny_model
+    geometry = clean_scene.geometry
+    t, current, lookahead = gap_setup(clean_scene, weights, obj_id=2, gap=3)
+    params = InpaintParams(num_samples=20, iou_threshold=0.3, seed=4)
+    fresh = replace(t, branch_store=None)
+    broken = replace(weights, input_scale=np.zeros_like(weights.input_scale))  # non-finite steps
+    with np.errstate(all="ignore"), pytest.raises(NumericOverflowError):
+        sample_candidates([t], lookahead, params, broken, book, geometry, current)
+    assert t.branch_store is None
+    got = sample_candidates([t], lookahead, params, weights, book, geometry, current)
+    want = sample_candidates([fresh], lookahead, params, weights, book, geometry, current)
+    assert len(got) == len(want) == 20
+    for a, b in zip(got, want):
+        assert_same_candidate(a, b)
 
 
 class CountedDetection:

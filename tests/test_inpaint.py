@@ -1,5 +1,6 @@
 """Gap bridging: branch sampling, rejection, winner selection, reattachment."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_zero_samples_yields_no_candidates(tiny_model, clean_scene):
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=0)
     got = sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)
-    assert got == []
+    assert len(got) == 0
     assert inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
     assert inpaint([], lookahead, InpaintParams(), weights, book, clean_scene.geometry, current) == []
 
@@ -152,7 +153,7 @@ def test_zero_samples_disables_top1_sampling_too(tiny_model, clean_scene):
     weights, book = tiny_model
     t, current, lookahead = gap_setup(clean_scene, weights)
     params = InpaintParams(num_samples=0, sampling=SAMPLING_TOP1)
-    assert sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current) == []
+    assert len(sample_candidates([t], lookahead, params, weights, book, clean_scene.geometry, current)) == 0
     assert inpaint([t], lookahead, params, weights, book, clean_scene.geometry, current) == [None]
     assert t.branch_store is None
 
@@ -210,7 +211,7 @@ def test_all_branches_reject_when_nothing_overlaps(tiny_model, clean_scene):
     assert inpaint([t], speck, params, weights, book, geometry, 22) == [None]
     # a detection beyond the reachable extent is not even sampled for
     far = [np.array([[900.0, 500.0, 20.0, 20.0]])]
-    assert sample_candidates([t], far, params, weights, book, geometry, 22) == []
+    assert len(sample_candidates([t], far, params, weights, book, geometry, 22)) == 0
     assert inpaint([t], far, params, weights, book, geometry, 22) == [None]
 
 
@@ -292,6 +293,88 @@ def test_aligned_branch_beats_counter_moving_branch():
     [best] = inpaint([t], lookahead, params, weights, book, geometry, 11)
     assert best.path[:, 0].tolist() == [510.0, 520.0, 530.0]
     assert best.iou_score == pytest.approx(3.0)
+
+
+def reference_winners(candidates):
+    """The winner scan ``inpaint`` ran before the branch table, kept as the oracle.
+
+    Candidates are read one at a time in table order; a surviving branch
+    replaces the held one only on a strictly higher (IOU score,
+    log-likelihood), so on a full tie the lower branch index stays.
+    """
+    best = {}
+    for cand in candidates:
+        if cand.rejected:
+            continue
+        held = best.get(cand.tracklet_id)
+        if held is None or (cand.iou_score, cand.sample_log_likelihood) > (
+                held.iou_score, held.sample_log_likelihood):
+            best[cand.tracklet_id] = cand
+    return best
+
+
+def two_way_scene(left_logit):
+    """A tracklet that moves 10 px right (logit 50) or left (``left_logit``) each step.
+
+    Its lookahead holds a detection on each pure path, so a branch that keeps
+    one direction overlaps a detection fully on every frame: the pure right
+    and pure left branches tie on IOU, and only the logits separate their
+    log-likelihoods.
+    """
+    geometry = FrameGeometry(1000.0, 1000.0)
+    book = Codebook(centroids=np.array([
+        [-0.01, 0.01],
+        [-0.01, 0.0],
+        [-0.01, 0.0],
+        [-0.01, 0.0],
+    ]), k=2)
+    weights = programmed_weights(book, favored=[1, 1, 1, 1])
+    head_b = weights.head_b.copy()
+    head_b[0, 0] = left_logit
+    weights = replace(weights, head_b=head_b)
+    t = new_tracklet(1, 10, np.array([500.0, 500.0, 100.0, 100.0]), cold_start(weights))
+    lookahead = [np.array([[500.0 + 10.0 * i, 500.0, 100.0, 100.0], [500.0 - 10.0 * i, 500.0, 100.0, 100.0]])
+                 for i in (1, 2, 3)]
+    return t, lookahead, weights, book, geometry
+
+
+def picked_like_the_reference(tracklet, lookahead, weights, book, geometry, params):
+    """Sample the branches, then check ``inpaint``'s winner against :func:`reference_winners`."""
+    table = sample_candidates([tracklet], lookahead, params, weights, book, geometry, 11)
+    want = reference_winners(table).get(tracklet.tracklet_id)
+    [got] = inpaint([tracklet], lookahead, params, weights, book, geometry, 11)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.branch_index, got.iou_score, got.sample_log_likelihood) == (
+            want.branch_index, want.iou_score, want.sample_log_likelihood)
+        assert np.array_equal(got.path, want.path) and np.array_equal(got.origin, want.origin)
+    return table, got
+
+
+def test_winner_pick_matches_the_per_candidate_scan():
+    params = InpaintParams(num_samples=40, seed=5)
+    # IOU ties exactly between the pure right and left branches; the right
+    # move is likelier, so log-likelihood decides
+    table, best = picked_like_the_reference(*two_way_scene(49.8), params)
+    pure = [c for c in table if not c.rejected and c.iou_score == 3.0]
+    assert {c.path[0, 0] for c in pure} == {490.0, 510.0}, "seed must produce both pure kinds"
+    assert best.path[:, 0].tolist() == [510.0, 520.0, 530.0]
+    assert best.sample_log_likelihood > max(c.sample_log_likelihood for c in pure if c.path[0, 0] == 490.0)
+
+    # both moves equally likely: every pure branch ties on IOU and
+    # log-likelihood, and the lowest branch index wins
+    table, best = picked_like_the_reference(*two_way_scene(50.0), params)
+    tied = [c.branch_index for c in table
+            if (c.iou_score, c.sample_log_likelihood) == (best.iou_score, best.sample_log_likelihood)]
+    assert len(tied) > 1 and best.branch_index == min(tied)
+    assert best.iou_score == 3.0
+
+    # a speck inside the reachable extent: every branch is rejected
+    t, _, weights, book, geometry = two_way_scene(50.0)
+    speck = [np.array([[550.0, 550.0, 1.0, 1.0]])]
+    table, best = picked_like_the_reference(t, speck, weights, book, geometry, params)
+    assert len(table) == 40 and all(c.rejected for c in table)
+    assert best is None
 
 
 def test_reattach_commits_gap_then_detection(tiny_model, clean_scene):
@@ -415,7 +498,7 @@ def test_rejections_cover_degenerate_and_empty_frames():
     # a current frame with no detections leaves nothing to reach: every
     # branch would be rejected, so none is sampled
     empty_first = [np.zeros((0, 4)), dets[1:]]
-    assert sample_candidates([t], empty_first, params, weights, book, geometry, 11) == []
+    assert len(sample_candidates([t], empty_first, params, weights, book, geometry, 11)) == 0
     # without an overlap threshold nothing is pruned or rejected for overlap
     cands = sample_candidates([t], empty_first, replace(params, iou_threshold=0.0),
                               weights, book, geometry, 11)
@@ -575,3 +658,17 @@ def test_branch_draws_depend_only_on_seed_tracklet_and_frame():
     assert np.array_equal(longer[:, :steps], want)
     assert np.array_equal(longer, replay(branch_uniforms(params.seed, 5, last_seen + 1, steps + 1,
                                                          params.num_samples)))
+
+    # A store extended frame by frame over a 6-frame gap draws exactly the
+    # rows branch_uniforms gives its steps, also after it is rebuilt: its
+    # stream stands at the row after the last step taken.
+    kept = new_tracklet(5, last_seen, box, start)
+    for gap in range(1, 7):
+        if gap == 4:
+            kept.branch_store = None
+        held = kept.branch_store
+        cands = sample_candidates([kept], lookahead, params, weights, book, geometry, last_seen + gap)
+        assert (kept.branch_store is held) == (gap not in (1, 4))
+        u = branch_uniforms(params.seed, 5, last_seen + 1, gap + 3, params.num_samples)
+        assert np.array_equal(np.stack([c.path for c in cands]), replay(u[:-1]))
+        assert np.array_equal(copy.deepcopy(kept.branch_store.stream).random(u[-1:].shape), u[-1:])
