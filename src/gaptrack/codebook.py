@@ -274,10 +274,12 @@ def load_codebook(path) -> Codebook:
     if payload.get("version") != _FILE_VERSION:
         raise SchemaError(f"{path}: unsupported codebook version {payload.get('version')!r}")
     try:
-        k = int(payload["k"])
+        k = payload["k"]
         rows = [payload["centroids"][name] for name in COMPONENTS]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed codebook payload: {exc}") from exc
+    if type(k) is not int:  # a JSON integer; bool is excluded
+        raise SchemaError(f"{path}: codebook k must be an integer, got {k!r}")
     if any(len(r) != k for r in rows):
         raise SchemaError(f"{path}: centroid arrays disagree with k={k}")
     return Codebook(centroids=np.array(rows, dtype=np.float64), k=k)

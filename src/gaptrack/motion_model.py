@@ -378,6 +378,9 @@ def _config_from_meta(path, data) -> ModelConfig:
     # Files written before the input width was fixed record it; only 4 ever worked.
     if data.pop("input_dim", len(COMPONENTS)) != len(COMPONENTS):
         raise SchemaError(f"{path}: model input_dim must be {len(COMPONENTS)}")
+    for name in ("num_clusters", "hidden_dim"):
+        if name in data and type(data[name]) is not int:  # a JSON integer; bool is excluded
+            raise SchemaError(f"{path}: model {name} must be an integer, got {data[name]!r}")
     try:
         return ModelConfig(**data)
     except (TypeError, ValueError) as exc:

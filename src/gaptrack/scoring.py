@@ -21,10 +21,11 @@ overlap any detection, and ranking each tracklet's survivors by the summed
 best IOU against detections over the current frame plus a short lookahead
 window. A winner supplies the missing boxes and the state from which the
 current detections are scored. The branches of one call form a
-:class:`BranchTable`, one row of arrays per branch (tracklet, branch index,
-gap, steps taken, rejection code, IOU score, log-likelihood, origin and
-scoring state); one ``lexsort`` over it picks every tracklet's winner, and
-only the winners become :class:`InpaintCandidate` objects.
+:class:`BranchTable`, one row of arrays per branch (tracklet, gap, steps
+taken, rejection code, IOU score, log-likelihood, origin and scoring state;
+the branch index is the row's position in its tracklet's block); one
+``lexsort`` over it picks every tracklet's winner, and only the winners
+become :class:`InpaintCandidate` objects.
 
 Each branch is one trajectory per gap, as a particle filter carries its
 samples: tracklet ``t`` whose gap began on frame ``g0`` (its first
@@ -36,7 +37,10 @@ tracklets are gapped or on their order, and the tracklet keeps them in a
 :class:`BranchStore`: each frame extends the stored branches by the steps
 they lack, one per branch on consecutive frames, so a gap of g frames costs
 O(g) steps rather than O(g^2). The store keeps the gap's generator too,
-so an extension draws only the rows of its new steps. The store is an
+so an extension draws only the rows of its new steps. Every step runs one
+body over all running branches: a branch whose box degenerates is frozen,
+yet keeps stepping like the others, and only its log-likelihood and step
+count stop. The store is an
 exact cache, holding the recurrent states of the last few steps only, and
 is dropped when the gap closes. The per-tracklet streams also make an
 exact prune safe: a tracklet whose reachable extent (its last box moved
@@ -75,11 +79,6 @@ SAMPLING_TOP1 = "top1"
 
 # Frame rate at which the lookahead window grows from 2 to 3 frames.
 T_TRS_FPS_CUTOFF = 25.0
-
-
-def t_trs_for_frame_rate(frame_rate: float) -> int:
-    """Lookahead length: 2 frames below 25 fps, 3 at or above."""
-    return 2 if frame_rate < T_TRS_FPS_CUTOFF else 3
 
 
 class TrackletBox(NamedTuple):
@@ -121,8 +120,10 @@ class InpaintParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lookahead_frames(self, frame_rate: float) -> int:
-        """``t_trs`` when set (0 means no lookahead), else the frame rate's default."""
-        return t_trs_for_frame_rate(frame_rate) if self.t_trs is None else self.t_trs
+        """``t_trs`` when set (0 means no lookahead), else 2 frames below 25 fps and 3 at or above."""
+        if self.t_trs is not None:
+            return self.t_trs
+        return 2 if frame_rate < T_TRS_FPS_CUTOFF else 3
 
 
 @dataclass(eq=False)
@@ -245,6 +246,7 @@ class InpaintCandidate:
     branch degenerated). ``state_at_scoring`` is the model state after the
     boxes strictly before the current frame, and ``origin`` is the box
     there: that is where an assigned detection gets scored and committed.
+    A rejected candidate's ``origin`` is unspecified.
     ``dist_at_scoring``, the predictive distribution of that state, is set
     on :func:`inpaint`'s winners only and is None on other candidates.
     """
@@ -275,13 +277,15 @@ class BranchTable(Sequence):
     """Every branch one :func:`sample_candidates` call sampled, one row per branch.
 
     Rows run by gap descending, then tracklet ID, then branch index, in
-    blocks of ``branches`` rows per tracklet. The columns hold each row's
-    tracklet ID, branch index, gap, steps taken before its box degenerated,
-    rejection code (an index into :data:`REJECTION_REASONS`), summed
-    lookahead IOU and accumulated sample log-likelihood, and its scoring
-    origin and state. ``paths`` holds each block's path buffer, of which a
-    row reads its first ``steps_done`` boxes; a branch store only appends
-    to its buffer, so those rows stay as sampled.
+    blocks of ``branches`` rows per tracklet, so row ``r`` holds branch
+    ``r % branches``. The columns hold each row's tracklet ID, gap, steps
+    taken before its box degenerated, rejection code (an index into
+    :data:`REJECTION_REASONS`), summed lookahead IOU and accumulated sample
+    log-likelihood, and its scoring origin and state; a rejected row's
+    origin is unspecified. ``paths`` holds each block's path buffer, of
+    which a row reads its first ``steps_done`` boxes; a branch store only
+    appends to its buffer, so those rows stay as sampled. What a buffer
+    holds past a row's ``steps_done`` is unspecified.
 
     The table reads as a sequence of :class:`InpaintCandidate`: indexing or
     iterating builds a row's candidate, with no ``dist_at_scoring``.
@@ -289,7 +293,6 @@ class BranchTable(Sequence):
 
     branches: int
     tracklet_id: np.ndarray  # (R,)
-    branch_index: np.ndarray  # (R,)
     gap: np.ndarray  # (R,)
     steps_done: np.ndarray  # (R,)
     rejection: np.ndarray  # (R,) codes
@@ -334,7 +337,7 @@ class BranchTable(Sequence):
         every branch is rejected has no row.
         """
         alive = np.flatnonzero(self.rejection == SURVIVED)
-        ranked = alive[np.lexsort((self.branch_index[alive], -self.log_likelihood[alive],
+        ranked = alive[np.lexsort((alive % self.branches, -self.log_likelihood[alive],
                                    -self.iou_score[alive], self.tracklet_id[alive]))]
         ids = self.tracklet_id[ranked]
         first = np.ones(len(ranked), dtype=bool)
@@ -363,16 +366,20 @@ def branch_uniforms(seed: int, tracklet_id: int, gap_start: int, steps: int, bra
 class BranchStore:
     """A gapped tracklet's sampled branches, kept from frame to frame of its gap.
 
-    Per branch it holds the boxes sampled so far, the box after the last
-    step, the summed log-likelihood, the steps taken before the box
-    degenerated (the branch is alive while that equals ``steps``) and the
-    velocity sampled last, which the model has not consumed yet. Under
-    multinomial sampling ``stream`` is the gap's generator, standing at row
-    ``steps`` of :func:`branch_uniforms`. Hidden and
-    cell states are kept for the last ``R`` steps only, as a ring: the state
-    after ``k`` sampled velocities sits in slot ``k % R``. The store is an
-    exact cache: :func:`sample_candidates` rebuilds it from the tracklet
-    whenever it cannot serve a call, and the draws are the same either way.
+    Per branch it holds the boxes of its ``steps`` steps (the last of them
+    is where the next step starts; before the first step that is the
+    tracklet's last box), the summed log-likelihood, the steps taken before
+    the box degenerated (the branch is alive while that equals ``steps``)
+    and the velocity sampled last, which the model has not consumed yet. A
+    frozen branch, one whose box degenerated, keeps stepping with the
+    others; only its log-likelihood and step count stop, so its boxes past
+    ``steps_done`` are unspecified. Under multinomial sampling ``stream`` is
+    the gap's generator, standing at row ``steps`` of
+    :func:`branch_uniforms`. Hidden and cell states are kept for the last
+    ``R`` steps only, as a ring: the state after ``k`` sampled velocities
+    sits in slot ``k % R``. The store is an exact cache:
+    :func:`sample_candidates` rebuilds it from the tracklet whenever it
+    cannot serve a call, and the draws are the same either way.
     """
 
     key: tuple  # (seed, sampling, branches, tracklet ID, last frame, *last committed box)
@@ -385,7 +392,6 @@ class BranchStore:
     hidden: np.ndarray  # (R, B, H)
     cell: np.ndarray  # (R, B, H)
     path: np.ndarray  # (B, capacity, 4): boxes of steps 0 .. steps - 1
-    last: np.ndarray  # (B, 4)
     pending: np.ndarray  # (B, 4)
     log_lik: np.ndarray  # (B,)
     steps_done: np.ndarray  # (B,)
@@ -505,18 +511,14 @@ def sample_candidates(
     _extend(chosen, stores, needs, params, weights, codebook, frame)
 
     # Per row: the boxes from the current frame on, the scoring state (after
-    # the boxes strictly before the current frame) and the box there, which
-    # for a branch that degenerated earlier is its last box.
+    # the boxes strictly before the current frame) and the box there.
     window, snap_hid, snap_cell, origin = [], [], [], []
     for tracklet, store, g in zip(chosen, stores, gap):
         slot = (g - 1) % len(store.hidden)
-        before = np.minimum(g - 1, store.steps_done) - 1
         window.append(store.path[:, g - 1 : g + extra])
         snap_hid.append(store.hidden[slot])
         snap_cell.append(store.cell[slot])
-        origin.append(np.where(
-            (before >= 0)[:, None], store.path[np.arange(branches), before], tracklet.last_box.box
-        ))
+        origin.append(store.path[:, g - 2] if g > 1 else np.broadcast_to(tracklet.last_box.box, (branches, 4)))
     window = np.concatenate(window)
     row_gap = np.repeat(gap, branches)
     steps_done = np.concatenate([s.steps_done for s in stores])
@@ -525,7 +527,6 @@ def sample_candidates(
     return BranchTable(
         branches=branches,
         tracklet_id=np.repeat([t.tracklet_id for t in chosen], branches),
-        branch_index=np.tile(np.arange(branches), len(chosen)),
         gap=row_gap,
         steps_done=steps_done,
         rejection=np.where(
@@ -543,7 +544,7 @@ def sample_candidates(
 def _empty_table(hidden_dim: int) -> BranchTable:
     none = np.zeros(0, dtype=int)
     return BranchTable(
-        branches=0, tracklet_id=none, branch_index=none, gap=none, steps_done=none, rejection=none,
+        branches=0, tracklet_id=none, gap=none, steps_done=none, rejection=none,
         iou_score=np.zeros(0), log_likelihood=np.zeros(0), origin=np.zeros((0, 4)),
         hidden=np.zeros((0, hidden_dim)), cell=np.zeros((0, hidden_dim)), paths=(),
     )
@@ -610,7 +611,6 @@ def _branch_store(
         hidden=hidden,
         cell=cell,
         path=np.zeros((branches, 2 * need, 4)),
-        last=np.repeat(tracklet.last_box.box[None], branches, axis=0),
         pending=np.zeros((branches, 4)),
         log_lik=np.zeros(branches),
         steps_done=np.zeros(branches, dtype=int),
@@ -636,12 +636,14 @@ def _extend(
     read from the store's own stream: a call draws only the rows of the
     steps it adds. Rows of one store are contiguous and laid out by missing
     steps descending, so the rows still running at step ``j`` of this call
-    are a prefix ``[:running[j]]``. While every running row is alive, a
-    step writes its log-likelihoods, boxes and step counts as whole rows; a
-    branch whose box degenerates is frozen in place but keeps its row, and
-    from then on only live rows are written. The stores are detached from
-    their tracklets until the call completes, so one that raises is rebuilt
-    next time rather than read with a stream that has moved on.
+    are a prefix ``[:running[j]]``. Every step has one body for all running
+    rows: it writes each row's state into ring slot ``k % R`` and its new
+    box into the path. A branch whose box degenerates keeps stepping like
+    the others; only its log-likelihood and step count stay frozen, under
+    the alive mask, so its path past ``steps_done`` is unspecified. The
+    stores are detached from their tracklets until the call completes, so
+    one that raises is rebuilt next time rather than read with a stream
+    that has moved on.
     """
     grow = sorted(
         (i for i, store in enumerate(stores) if store.steps < needs[i]),
@@ -662,13 +664,15 @@ def _extend(
     hid = np.concatenate([s.hidden[max(s.steps - 1, 0) % len(s.hidden)] for s in part])
     cell = np.concatenate([s.cell[max(s.steps - 1, 0) % len(s.cell)] for s in part])
     vel = np.concatenate([s.pending for s in part])
-    last = np.concatenate([s.last for s in part])
+    last = np.concatenate([
+        s.path[:, s.steps - 1] if s.steps else np.broadcast_to(t.last_box.box, (branches, 4))
+        for t, s in zip(tracklets, part)
+    ])
     log_lik = np.concatenate([s.log_lik for s in part])
     steps_done = np.concatenate([s.steps_done for s in part])
     alive = steps_done == np.repeat([s.steps for s in part], branches)
-    all_alive = bool(alive.all())
     fresh = np.repeat([s.steps == 0 for s in part], branches)
-    path = np.zeros((rows, todo[0], 4))
+    path = np.empty((rows, todo[0], 4))
     greedy = params.sampling == SAMPLING_TOP1
     if not greedy:
         uniforms = np.zeros((todo[0], rows, 4))
@@ -685,37 +689,26 @@ def _extend(
             model = np.flatnonzero(~fresh)
             if model.size:
                 out = cell_forward(weights, vel[model], hid[model], cell[model])
-                _check_finite(out["h"] if all_alive else out["h"][alive[model]])
+                _check_finite(out["h"])
                 hid[model], cell[model], dist[model] = out["h"], out["c"], out["probs"]
         else:
             out = cell_forward(weights, vel[:m], hid[:m], cell[:m])
-            _check_finite(out["h"] if all_alive else out["h"][alive[:m]])
+            _check_finite(out["h"])
             hid, cell, dist = out["h"], out["c"], out["probs"]
-        # Keep the states each ring holds once this call is done.
         for b, store in enumerate(part[: m // branches]):
-            k = store.steps + j
-            if k >= needs[b] - len(store.hidden):
-                store.hidden[k % len(store.hidden)] = hid[b * branches : (b + 1) * branches]
-                store.cell[k % len(store.cell)] = cell[b * branches : (b + 1) * branches]
+            k = (store.steps + j) % len(store.hidden)
+            store.hidden[k] = hid[b * branches : (b + 1) * branches]
+            store.cell[k] = cell[b * branches : (b + 1) * branches]
 
         quads = np.argmax(dist, axis=2) if greedy else inverse_cdf(dist, uniforms[j, :m])
         step_lik = log_likelihood(dist, quads)
         vel[:m] = decode(quads, codebook)  # (m, 4) normalized velocities
-        nxt = apply_velocity(last[:m], vel[:m], frame)
-        ok = (nxt[:, 2] > 0.0) & (nxt[:, 3] > 0.0)
-        if all_alive and ok.all():
-            log_lik[:m] += step_lik
-            path[:m, j] = nxt
-            last[:m] = nxt
-            steps_done[:m] += 1
-            continue
-        all_alive = False
+        last = apply_velocity(last[:m], vel[:m], frame)
+        path[:m, j] = last
         live = alive[:m]
-        log_lik[:m][live] += step_lik[live]
-        live &= ok
-        path[:m, j][live] = nxt[live]
-        last[:m][live] = nxt[live]
-        steps_done[:m][live] += 1
+        log_lik[:m] += np.where(live, step_lik, 0.0)
+        live &= (last[:, 2] > 0.0) & (last[:, 3] > 0.0)
+        steps_done[:m] += live
 
     for b, (tracklet, store, need) in enumerate(zip(tracklets, part, needs)):
         r = slice(b * branches, (b + 1) * branches)
@@ -724,7 +717,6 @@ def _extend(
             grown[:, : store.steps] = store.path[:, : store.steps]
             store.path = grown
         store.path[:, store.steps : need] = path[r, : todo[b]]
-        store.last[:] = last[r]
         store.pending[:] = vel[r]
         store.log_lik[:] = log_lik[r]
         store.steps_done[:] = steps_done[r]

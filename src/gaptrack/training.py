@@ -109,9 +109,12 @@ class TrainingTrack:
 def window_tracks(runs, frame: FrameGeometry, window: int | None) -> list[TrainingTrack]:
     """Cut runs of consecutive boxes into non-overlapping training tracks of ``window`` boxes.
 
-    ``window=None`` keeps each run whole. Chunks shorter than 3 boxes are
+    ``window=None`` keeps each run whole; any other window must be at least
+    3, as in :class:`TrainSchedule`. Chunks shorter than 3 boxes are
     dropped since they carry no velocity transition to learn.
     """
+    if window is not None and window < 3:
+        raise ValueError(f"window must be >= 3 or None, got {window}")
     tracks = []
     for boxes in runs:
         size = window or len(boxes)

@@ -17,16 +17,20 @@ import pytest
 
 from gaptrack import (
     BoundingBox,
+    Codebook,
+    FrameGeometry,
     InpaintParams,
     ModelConfig,
     NumericOverflowError,
     SceneSpec,
     TrackerConfig,
     TrainSchedule,
+    cold_start,
     evaluate,
     fit_codebook,
     generate,
     inpaint,
+    new_tracklet,
     run_sequence,
     sample_candidates,
     scoring,
@@ -36,7 +40,7 @@ from gaptrack import (
 from gaptrack.scoring import SAMPLING_TOP1, SOURCE_DETECTED, SOURCE_INPAINTED
 from gaptrack.synth import drop_detections
 
-from test_inpaint import assert_same_candidate, gap_setup, object_boxes
+from test_inpaint import assert_same_candidate, gap_setup, object_boxes, programmed_weights
 
 
 def drop_stores(monkeypatch):
@@ -134,6 +138,26 @@ def test_extending_a_gap_matches_sampling_it_fresh(tiny_model, clean_scene, monk
         got = sample_candidates([t], ahead, params, weights, book, geometry, 20 + gap)
         want = sample_candidates([replace(t, branch_store=None)], ahead, params, weights, book,
                                  geometry, 20 + gap)
+        for a, b in zip(got, want):
+            assert_same_candidate(a, b)
+
+    # Frozen branches: in this programmed scene half the branches degenerate
+    # on their first step and keep stepping, frozen. Extended frame by frame,
+    # every row, frozen ones included, matches a rebuilt store's row.
+    geometry = FrameGeometry(1000.0, 1000.0)
+    book = Codebook(centroids=np.array([[-0.01, 0.01], [0.0, 0.01], [-0.2, 0.0], [0.0, 0.01]]), k=2)
+    weights = programmed_weights(book, favored=[(0, 1), 0, (0, 1), 0])
+    t = new_tracklet(1, 10, np.array([500.0, 500.0, 100.0, 100.0]), cold_start(weights))
+    params = InpaintParams(num_samples=24, iou_threshold=0.7, seed=3)
+    for gap in (1, 2, 3):
+        ahead = [np.array([[500.0 + 10.0 * (gap + f), 500.0, 100.0, 100.0]]) for f in range(3)]
+        store = t.branch_store
+        got = sample_candidates([t], ahead, params, weights, book, geometry, 10 + gap)
+        want = sample_candidates([replace(t, branch_store=None)], ahead, params, weights, book,
+                                 geometry, 10 + gap)
+        assert gap == 1 or t.branch_store is store
+        assert len(got) == len(want) == 24
+        assert "degenerate box" in {c.rejection_reason for c in got}
         for a, b in zip(got, want):
             assert_same_candidate(a, b)
 

@@ -1,6 +1,7 @@
 """Velocity quantization: k-means fitting, nearest-centroid lookup, file format."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -179,3 +180,11 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(SchemaError):
         load_codebook(path)
+    # k must be a JSON integer, not a number or string that rounds to one
+    save_codebook(path, book_from_row([-0.1, 0.1]))
+    payload = json.loads(path.read_text())
+    for k in (2.5, 2.0, "2", True):
+        path.write_text(json.dumps({**payload, "k": k}))
+        with pytest.raises(SchemaError, match="k must be an integer") as caught:
+            load_codebook(path)
+        assert str(path) in str(caught.value)

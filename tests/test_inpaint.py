@@ -33,7 +33,6 @@ from gaptrack.scoring import (
     SOURCE_INPAINTED,
     branch_uniforms,
     reachable_extent,
-    t_trs_for_frame_rate,
 )
 from gaptrack.tracker import detection_arrays
 
@@ -115,10 +114,10 @@ def assert_same_candidate(a, b):
 
 
 def test_lookahead_window_grows_with_frame_rate():
-    assert t_trs_for_frame_rate(30.0) == 3
-    assert t_trs_for_frame_rate(25.0) == 3  # 25 fps counts as high frame rate
-    assert t_trs_for_frame_rate(24.9) == 2
-    assert t_trs_for_frame_rate(14.0) == 2
+    assert InpaintParams().lookahead_frames(30.0) == 3
+    assert InpaintParams().lookahead_frames(25.0) == 3  # 25 fps counts as high frame rate
+    assert InpaintParams().lookahead_frames(24.9) == 2
+    assert InpaintParams().lookahead_frames(14.0) == 2
 
 
 def test_gap_must_be_positive(tiny_model, clean_scene):

@@ -388,3 +388,10 @@ def test_load_rejects_unknown_config_keys(tmp_path):
     rewrite_config(path, layers=2)
     with pytest.raises(SchemaError, match="layers"):
         load_weights(path)
+    # sizes must be JSON integers
+    for name, value in (("num_clusters", 3.0), ("num_clusters", True), ("hidden_dim", "2")):
+        save_weights(path, weights, "checksum")
+        rewrite_config(path, **{name: value})
+        with pytest.raises(SchemaError, match=f"{name} must be an integer") as caught:
+            load_weights(path)
+        assert str(path) in str(caught.value)

@@ -505,9 +505,15 @@ def test_track_validation():
         train([], fit(np.ones((4, 4)), k=1, seed=0), ModelConfig(num_clusters=1), TrainSchedule(iterations=1))
 
 
-def test_window_tracks_cuts_runs_and_drops_short_chunks():
+def test_window_tracks_cuts_runs_and_drops_short_chunks(clean_scene):
     long_run = np.arange(28, dtype=np.float64).reshape(7, 4) + 1.0
     short_run = long_run[:2]
     lengths = lambda tracks: [len(t.boxes) for t in tracks]  # noqa: E731
     assert lengths(window_tracks([long_run, short_run], FRAME, window=3)) == [3, 3]
     assert lengths(window_tracks([long_run, short_run], FRAME, window=None)) == [7]
+    # a window below 3 cuts nothing to learn from, as TrainSchedule says
+    for window in (0, 1, 2, -5):
+        with pytest.raises(ValueError, match="window must be >= 3"):
+            window_tracks([long_run, short_run], FRAME, window=window)
+        with pytest.raises(ValueError, match="window must be >= 3"):
+            clean_scene.training_tracks(window=window)
