@@ -31,7 +31,7 @@ scene = generate(SceneSpec(
     detection_dropout=0.0, detection_jitter=0.0, false_positive_rate=0.0,
     seed=7, name="train-demo",
 ))
-tracks = scene.training_tracks(window=25)
+tracks = scene.training_tracks()
 print(f"scene         {len(scene.trajectories)} objects, {scene.spec.num_frames} frames"
       f" -> {len(tracks)} training windows")
 

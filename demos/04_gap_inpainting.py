@@ -35,7 +35,7 @@ scene = generate(SceneSpec(
     detection_dropout=0.0, detection_jitter=0.0, false_positive_rate=0.0,
     seed=7,
 ))
-tracks = scene.training_tracks(window=25)
+tracks = scene.training_tracks()
 book = fit_codebook(tracks, k=32, seed=3, jitter_fraction=0.02)
 weights, _ = train(
     tracks, book, ModelConfig(num_clusters=book.k, hidden_dim=24),

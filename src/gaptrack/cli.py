@@ -23,7 +23,7 @@ import numpy as np
 from . import config as config_mod
 from .codebook import load_codebook, save_codebook
 from .errors import ConfigError, GaptrackError
-from .metrics import aggregate, evaluate, format_report, write_report
+from .metrics import IOU_THRESHOLD, aggregate, evaluate, format_report, write_report
 from .mot_io import (
     discover_sequence,
     read_detections,
@@ -151,12 +151,17 @@ def cmd_train(args, cfg: config_mod.RunConfig) -> int:
 def cmd_track(args, cfg: config_mod.RunConfig) -> int:
     book = load_codebook(args.codebook)
     weights = load_weights(args.model, codebook=book)
+    sequences = [discover_sequence(seq_dir) for seq_dir in args.sequences]
+    # Each sequence writes <name>.txt, so a repeated name would overwrite a result.
+    names = [meta.name for meta, _, _ in sequences]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise GaptrackError(f"duplicate sequence name: {', '.join(repeated)} (each writes <name>.txt)")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
-    for seq_dir in args.sequences:
-        meta, det_path, gt_path = discover_sequence(seq_dir)
+    for meta, det_path, gt_path in sequences:
         # The tracker drops detections under min_detection_confidence itself.
         result = run_sequence(read_detections(det_path), meta, weights, book, cfg.tracker)
         result_path = out_dir / f"{meta.name}.txt"
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     p.add_argument("--gt", required=True, metavar="PATH")
     p.add_argument("--results", required=True, metavar="PATH")
-    p.add_argument("--iou-threshold", type=float, default=0.5, metavar="X")
+    p.add_argument("--iou-threshold", type=float, default=IOU_THRESHOLD, metavar="X")
     p.add_argument("--out", metavar="PATH", help="also write the report to a file")
     p.set_defaults(func=cmd_evaluate, mapping={})
 

@@ -20,7 +20,7 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer_fields
 from .motion_model import ModelConfig
 from .scoring import InpaintParams
 from .synth import SceneSpec
@@ -38,6 +38,7 @@ class CodebookSection:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.seed < 0:  # numpy seeds must be non-negative
@@ -50,6 +51,7 @@ class ModelSection:
     hidden_dim: int = ModelConfig.hidden_dim
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of its settings."""
+
+import dataclasses
+import functools
+import numbers
+import typing
 
 
 class GaptrackError(Exception):
@@ -59,3 +64,26 @@ class ConfigError(GaptrackError, ValueError):
 
 class MetricsInputError(GaptrackError, ValueError):
     """Evaluation input is malformed, e.g. duplicate (frame, id) rows."""
+
+
+@functools.cache
+def _integer_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, accepts None) of each field of dataclass ``cls`` annotated ``int`` or ``int | None``."""
+    hints = typing.get_type_hints(cls)
+    kinds = {f.name: typing.get_args(hints[f.name]) or (hints[f.name],) for f in dataclasses.fields(cls)}
+    return tuple((name, type(None) in kind) for name, kind in kinds.items() if int in kind)
+
+
+def check_integer_fields(settings, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the first ``int`` field of ``settings`` that holds a non-integer.
+
+    Sizes, counts and seeds reach ``range``, slices and numpy shapes, which
+    fail far from the cause on a float. bool is rejected, numpy integers
+    pass, and ``None`` passes where the annotation allows it.
+    """
+    for name, nullable in _integer_fields(type(settings)):
+        value = getattr(settings, name)
+        if value is None and nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")

@@ -24,11 +24,15 @@ when it continues the object's previous partner, so sorting the matches by
 frame, then kept matches by object id and the others by gt row, rebuilds
 the order in which frame-by-frame matching would produce them; the IOU sum
 is added up in that order.
+
+A :class:`MetricsReport` is its counts: the scores are fields derived from
+them when the report is constructed, so a report built from summed counts
+(:func:`aggregate`) or by ``dataclasses.replace`` carries its own scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +43,18 @@ from .geometry import box_iou
 
 MOSTLY_TRACKED_COVERAGE = 0.8
 MOSTLY_LOST_COVERAGE = 0.2
+# Default IOU at which a prediction matches a ground-truth box.
+IOU_THRESHOLD = 0.5
 # Same-frame pairs whose IOUs are computed in one call.
 PAIR_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Raw counts plus the derived scores computed from them.
+    """Raw counts plus the scores derived from them.
 
+    The constructor takes the counts only; ``__post_init__`` derives
+    ``mota``, ``motp``, ``idf1``, ``mostly_tracked`` and ``mostly_lost``.
     ``mostly_tracked`` and ``mostly_lost`` are percentages of ground-truth
     trajectories covered for at least 80% and less than 20% of their frames.
     ``motp`` is the mean IOU over matched pairs. With no ground truth at all,
@@ -65,11 +73,29 @@ class MetricsReport:
     mostly_tracked_count: int
     mostly_lost_count: int
     iou_sum: float
-    mota: float
-    motp: float
-    idf1: float
-    mostly_tracked: float
-    mostly_lost: float
+    mota: float = field(init=False)
+    motp: float = field(init=False)
+    idf1: float = field(init=False)
+    mostly_tracked: float = field(init=False)
+    mostly_lost: float = field(init=False)
+
+    def __post_init__(self):
+        num_gt, tp, trajectories = self.num_gt_boxes, self.true_positives, self.num_trajectories
+        fp_ids = self.false_positives + self.id_switches
+        if num_gt > 0:
+            mota = 1.0 - (self.false_negatives + fp_ids) / num_gt
+        else:
+            mota = 1.0 if fp_ids == 0 else float("-inf")
+        denom = num_gt + self.num_pred_boxes
+        scores = {
+            "mota": mota,
+            "motp": self.iou_sum / tp if tp > 0 else 0.0,
+            "idf1": (2.0 * self.id_true_positives / denom) if denom > 0 else 1.0,
+            "mostly_tracked": 100.0 * self.mostly_tracked_count / trajectories if trajectories else 0.0,
+            "mostly_lost": 100.0 * self.mostly_lost_count / trajectories if trajectories else 0.0,
+        }
+        for name, value in scores.items():  # the report is frozen
+            object.__setattr__(self, name, value)
 
 
 def _integers(values: list, label: str, field: str) -> np.ndarray:
@@ -158,48 +184,6 @@ def _identity_true_positives(gt_codes: np.ndarray, pred_codes: np.ndarray) -> in
     return int(-costs[solved[:, 0], solved[:, 1]].sum())
 
 
-def _derive(
-    num_frames: int,
-    num_gt: int,
-    num_pred: int,
-    trajectories: int,
-    tp: int,
-    fp: int,
-    fn: int,
-    ids: int,
-    idtp: int,
-    mt: int,
-    ml: int,
-    iou_sum: float,
-) -> MetricsReport:
-    if num_gt > 0:
-        mota = 1.0 - (fn + fp + ids) / num_gt
-    else:
-        mota = 1.0 if (fp + ids) == 0 else float("-inf")
-    motp = iou_sum / tp if tp > 0 else 0.0
-    denom = num_gt + num_pred
-    idf1 = (2.0 * idtp / denom) if denom > 0 else 1.0
-    return MetricsReport(
-        num_frames=num_frames,
-        num_gt_boxes=num_gt,
-        num_pred_boxes=num_pred,
-        num_trajectories=trajectories,
-        true_positives=tp,
-        false_positives=fp,
-        false_negatives=fn,
-        id_switches=ids,
-        id_true_positives=idtp,
-        mostly_tracked_count=mt,
-        mostly_lost_count=ml,
-        iou_sum=iou_sum,
-        mota=mota,
-        motp=motp,
-        idf1=idf1,
-        mostly_tracked=100.0 * mt / trajectories if trajectories else 0.0,
-        mostly_lost=100.0 * ml / trajectories if trajectories else 0.0,
-    )
-
-
 def _pair_blocks(gt_start, gt_end, pred_start, pred_end):
     """Same-frame pairs as (gt rows, pred rows), in runs of at most ``PAIR_BLOCK`` pairs.
 
@@ -224,7 +208,7 @@ def _pair_blocks(gt_start, gt_end, pred_start, pred_end):
         lo = hi
 
 
-def evaluate(ground_truth, predictions, iou_threshold: float = 0.5) -> MetricsReport:
+def evaluate(ground_truth, predictions, iou_threshold: float = IOU_THRESHOLD) -> MetricsReport:
     """Score predicted (frame, id, box) rows against ground-truth rows.
 
     Rows may be plain tuples or objects with ``frame``, ``track_id``, and
@@ -331,18 +315,18 @@ def evaluate(ground_truth, predictions, iou_threshold: float = 0.5) -> MetricsRe
     coverage = np.bincount(objects, minlength=len(gt_order)) / np.bincount(gt_codes, minlength=len(gt_order))
     tp = len(matched_gt)
     idtp = _identity_true_positives(gt_codes[hit_gt], pred_codes[hit_pred])
-    return _derive(
+    return MetricsReport(
         num_frames=len(frames),
-        num_gt=len(gt_ids),
-        num_pred=len(pred_ids),
-        trajectories=len(gt_order),
-        tp=tp,
-        fp=len(pred_ids) - tp,
-        fn=len(gt_ids) - tp,
-        ids=int(ids),
-        idtp=idtp,
-        mt=int(np.count_nonzero(coverage >= MOSTLY_TRACKED_COVERAGE)),
-        ml=int(np.count_nonzero(coverage < MOSTLY_LOST_COVERAGE)),
+        num_gt_boxes=len(gt_ids),
+        num_pred_boxes=len(pred_ids),
+        num_trajectories=len(gt_order),
+        true_positives=tp,
+        false_positives=len(pred_ids) - tp,
+        false_negatives=len(gt_ids) - tp,
+        id_switches=int(ids),
+        id_true_positives=idtp,
+        mostly_tracked_count=int(np.count_nonzero(coverage >= MOSTLY_TRACKED_COVERAGE)),
+        mostly_lost_count=int(np.count_nonzero(coverage < MOSTLY_LOST_COVERAGE)),
         iou_sum=iou_sum,
     )
 
@@ -352,20 +336,8 @@ def aggregate(reports) -> MetricsReport:
     reports = list(reports)
     if not reports:
         raise MetricsInputError("aggregate needs at least one report")
-    return _derive(
-        num_frames=sum(r.num_frames for r in reports),
-        num_gt=sum(r.num_gt_boxes for r in reports),
-        num_pred=sum(r.num_pred_boxes for r in reports),
-        trajectories=sum(r.num_trajectories for r in reports),
-        tp=sum(r.true_positives for r in reports),
-        fp=sum(r.false_positives for r in reports),
-        fn=sum(r.false_negatives for r in reports),
-        ids=sum(r.id_switches for r in reports),
-        idtp=sum(r.id_true_positives for r in reports),
-        mt=sum(r.mostly_tracked_count for r in reports),
-        ml=sum(r.mostly_lost_count for r in reports),
-        iou_sum=sum(r.iou_sum for r in reports),
-    )
+    counts = [f.name for f in fields(MetricsReport) if f.init]
+    return MetricsReport(**{name: sum(getattr(r, name) for r in reports) for name in counts})
 
 
 _REPORT_FIELDS = (

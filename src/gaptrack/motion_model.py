@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import Codebook
-from .errors import CodebookMismatchError, NumericOverflowError, SchemaError
+from .errors import CodebookMismatchError, NumericOverflowError, SchemaError, check_integer_fields
 from .geometry import COMPONENTS
 
 _FILE_MAGIC = "gaptrack-motion-model"
@@ -58,6 +58,7 @@ class ModelConfig:
     hidden_dim: int = 48
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.num_clusters < 1:
             raise ValueError(f"num_clusters must be >= 1, got {self.num_clusters}")
         if self.hidden_dim < 1:
@@ -378,9 +379,6 @@ def _config_from_meta(path, data) -> ModelConfig:
     # Files written before the input width was fixed record it; only 4 ever worked.
     if data.pop("input_dim", len(COMPONENTS)) != len(COMPONENTS):
         raise SchemaError(f"{path}: model input_dim must be {len(COMPONENTS)}")
-    for name in ("num_clusters", "hidden_dim"):
-        if name in data and type(data[name]) is not int:  # a JSON integer; bool is excluded
-            raise SchemaError(f"{path}: model {name} must be an integer, got {data[name]!r}")
     try:
         return ModelConfig(**data)
     except (TypeError, ValueError) as exc:

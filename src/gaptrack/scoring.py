@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebook import Codebook, decode, quantize
-from .errors import NumericOverflowError, SequencingError
+from .errors import NumericOverflowError, SequencingError, check_integer_fields
 from .geometry import FrameGeometry, apply_velocity, box_iou, velocity
 from .motion_model import (
     ModelWeights,
@@ -106,6 +106,7 @@ class InpaintParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.sampling not in (SAMPLING_MULTINOMIAL, SAMPLING_TOP1):
             raise ValueError(
                 f"sampling must be {SAMPLING_MULTINOMIAL!r} or {SAMPLING_TOP1!r}, got {self.sampling!r}"

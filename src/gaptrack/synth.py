@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer_fields
 from .geometry import BoundingBox, FrameGeometry, box_iou
 from .mot_io import Detection, SequenceMeta, write_detections, write_ground_truth, write_seqinfo
 from .training import TrainingTrack, TrainSchedule, window_tracks
@@ -50,6 +50,7 @@ class SceneSpec:
     name: str = "synthetic"
 
     def __post_init__(self):
+        check_integer_fields(self, ConfigError)
         if self.motion not in MOTION_FAMILIES:
             raise ConfigError(
                 f"unknown motion family {self.motion!r}, expected one of {MOTION_FAMILIES}"

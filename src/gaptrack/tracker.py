@@ -42,7 +42,7 @@ import numpy as np
 
 from .assignment import FORBIDDEN, solve
 from .codebook import Codebook
-from .errors import SequencingError
+from .errors import SequencingError, check_integer_fields
 from .geometry import BoundingBox, FrameGeometry
 from .motion_model import ModelWeights, RecurrentState
 from .scoring import (
@@ -86,6 +86,7 @@ class TrackerConfig:
     inpaint: InpaintParams = field(default_factory=InpaintParams)
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not self.gate_factor > 0.0:
             raise ValueError(f"gate_factor must be > 0, got {self.gate_factor}")
         if self.birth_confirmation < 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, decode, fit, quantize
-from .errors import EmptyInputError, TrainingDivergedError
+from .errors import EmptyInputError, TrainingDivergedError, check_integer_fields
 from .geometry import FrameGeometry
 from .motion_model import (
     ModelConfig,
@@ -69,6 +69,7 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
@@ -80,8 +81,8 @@ class TrainSchedule:
         for name in ("teacher_forcing_prob", "teacher_forcing_onset"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not self.jitter_fraction >= 0.0:
-            raise ValueError(f"jitter_fraction must be >= 0, got {self.jitter_fraction}")
+        if not 0.0 <= self.jitter_fraction < float("inf"):
+            raise ValueError(f"jitter_fraction must be finite and >= 0, got {self.jitter_fraction}")
         if self.window is not None and self.window < 3:
             raise ValueError(f"window must be >= 3 or null, got {self.window}")
         if self.seed < 0:  # numpy seeds must be non-negative

@@ -14,26 +14,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaptrack import (
     BoundingBox,
     ConfigError,
+    InpaintParams,
     ModelConfig,
     RunConfig,
     SceneSpec,
     TrackerConfig,
     TrainSchedule,
+    aggregate,
     apply_overrides,
+    evaluate,
+    format_report,
     from_dict,
     from_file,
     load_codebook,
     load_config,
+    read_ground_truth,
+    read_labeled_boxes,
     read_seqinfo,
     write_ground_truth,
 )
 from gaptrack.cli import main
-from gaptrack.config import ENV_CONFIG
+from gaptrack.config import ENV_CONFIG, CodebookSection, ModelSection
 
 
 def test_defaults():
@@ -214,6 +221,40 @@ def test_tracker_section_is_range_checked(tracker_section, field):
     assert from_dict({"tracker": {"min_detection_confidence": -5.0}})
 
 
+# Sizes, counts and seeds that are not integers, built in code rather than
+# read from a JSON config (which rejects them by type).
+NON_INTEGER_SETTINGS = [
+    (ModelConfig, {"num_clusters": 3.0}, ValueError),
+    (ModelConfig, {"num_clusters": 4, "hidden_dim": 8.0}, ValueError),
+    (ModelConfig, {"num_clusters": True}, ValueError),
+    (TrainSchedule, {"window": 3.5}, ValueError),
+    (TrainSchedule, {"batch_size": 2.5}, ValueError),
+    (TrainSchedule, {"jitter_fraction": float("inf")}, ValueError),
+    (InpaintParams, {"t_trs": 1.5}, ValueError),
+    (InpaintParams, {"num_samples": 2.5}, ValueError),
+    (TrackerConfig, {"termination_gap": 2.5}, ValueError),
+    (CodebookSection, {"size": 2.5}, ValueError),
+    (ModelSection, {"hidden_dim": 16.0}, ValueError),
+    (SceneSpec, {"num_objects": 2.5}, ConfigError),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, error", [
+    pytest.param(*case, id=f"{case[0].__name__}.{list(case[1])[-1]}={list(case[1].values())[-1]}")
+    for case in NON_INTEGER_SETTINGS
+])
+def test_settings_built_in_code_reject_non_integer_sizes(cls, kwargs, error):
+    field = list(kwargs)[-1]
+    with pytest.raises(error, match=f"^{field} must be"):
+        cls(**kwargs)
+
+
+def test_settings_accept_numpy_integers_and_null_where_allowed():
+    assert ModelConfig(np.int64(3), hidden_dim=np.int32(8)).hidden_dim == 8
+    assert TrainSchedule(window=None, seed=np.uint8(4)).window is None
+    assert InpaintParams(t_trs=None).t_trs is None
+
+
 def test_nullable_fields_accept_null():
     cfg = from_dict({"training": {"clip_norm": None, "window": None}})
     assert cfg.training.clip_norm is None
@@ -366,6 +407,36 @@ def test_track_and_evaluate(pipeline, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mota=" in out and "idf1=" in out
     assert "mota=" in (tmp_path / "report.txt").read_text()
+
+
+def test_track_pools_sequences_into_overall_metrics(pipeline, tmp_path):
+    seqs = []
+    for name, seed in (("left", 11), ("right", 12)):
+        seqs.append(tmp_path / name)
+        assert main(["synth", "--config", str(pipeline["config"]), "--out", str(seqs[-1]),
+                     "--name", name, "--seed", str(seed)]) == 0
+    results = tmp_path / "results"
+    rc = main(["track", "--config", str(pipeline["config"]),
+               "--model", str(pipeline["model"]), "--codebook", str(pipeline["book"]),
+               "--sequences", *map(str, seqs), "--out", str(results)])
+    assert rc == 0
+    reports = [
+        evaluate(read_ground_truth(seq / "gt" / "gt.txt"), read_labeled_boxes(results / f"{seq.name}.txt"))
+        for seq in seqs
+    ]
+    expected = format_report(aggregate(reports), "overall") + "\n"
+    assert (results / "metrics.txt").read_text() == expected
+
+
+def test_track_rejects_repeated_sequence_names(pipeline, tmp_path, capsys):
+    results = tmp_path / "results"
+    seq = str(pipeline["seq"])
+    rc = main(["track", "--config", str(pipeline["config"]),
+               "--model", str(pipeline["model"]), "--codebook", str(pipeline["book"]),
+               "--sequences", seq, seq, "--out", str(results)])
+    assert rc == 1
+    assert "error: duplicate sequence name: pipe" in capsys.readouterr().err
+    assert not results.exists()
 
 
 def test_track_can_suppress_inpainted_boxes(pipeline, tmp_path):

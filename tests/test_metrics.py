@@ -7,12 +7,15 @@ pins IDF1 = 2*IDTP / (gt + pred) with IDTP = 5 under the best global
 identity pairing.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from gaptrack import (
     BoundingBox,
     MetricsInputError,
+    MetricsReport,
     aggregate,
     evaluate,
     format_report,
@@ -57,6 +60,12 @@ def test_empty_predictions():
     assert report.mota == 0.0
     assert report.idf1 == 0.0
     assert report.mostly_lost == 100.0
+
+    # Without ground truth, MOTA is 1.0 only while nothing is predicted.
+    nothing = evaluate([], [])
+    assert (nothing.mota, nothing.idf1, nothing.motp) == (1.0, 1.0, 0.0)
+    assert (nothing.mostly_tracked, nothing.mostly_lost) == (0.0, 0.0)
+    assert evaluate([], gt).mota == float("-inf")
 
 
 def test_identity_split_halfway():
@@ -185,6 +194,23 @@ def test_aggregate_sums_counts_before_ratios():
     assert report.mota == pytest.approx(0.5)
     assert report.idf1 == pytest.approx(2.0 * 10 / (20 + 10))
     assert report.mostly_tracked == pytest.approx(50.0)
+
+    # The scores are derived from the counts whenever a report is built.
+    scores = [f.name for f in fields(MetricsReport) if not f.init]
+    assert scores == ["mota", "motp", "idf1", "mostly_tracked", "mostly_lost"]
+    perfect = evaluate(gt_a, gt_a)
+    assert replace(perfect, false_positives=10).mota == 0.0
+    assert replace(perfect, id_switches=1).mota == pytest.approx(0.9)
+
+    # Pooled counts are the per-sequence sums; pooled scores are theirs.
+    split = straight_rows(101, range(1, 6)) + straight_rows(102, range(6, 11))
+    parts = [perfect, evaluate(gt_b, []), evaluate(gt_a, split), evaluate(gt_b, gt_a)]
+    pooled = aggregate(parts)
+    counts = {f.name: sum(getattr(r, f.name) for r in parts) for f in fields(MetricsReport) if f.init}
+    assert len(counts) == 12
+    assert {name: getattr(pooled, name) for name in counts} == counts
+    assert pooled == MetricsReport(**counts)
+    assert pooled.id_switches == 1 and pooled.false_positives == 10
 
 
 def test_report_formatting(tmp_path):

@@ -9,7 +9,8 @@ they are, and prints one sha256 digest per output:
 
 - ``rows``: the final tracker rows, as frame, id and ``repr`` of x, y, w, h;
 - ``online``: the boxes committed online, frame by frame, as ``float.hex``;
-- ``report``: ``repr`` of the round's ``MetricsReport``;
+- ``report``: ``repr`` of the round's ``MetricsReport``, which includes the
+  scores it derives from its counts, in field order;
 - ``loss``: the training loss trace, as ``float.hex``;
 - ``branches``: every branch ``sample_candidates`` returns in the round (its
   tracklet, branch index, gap, rejection reason, and ``float.hex`` of its IOU
